@@ -38,7 +38,7 @@ from .model import (
 )
 from .oracle import UnsupportedObjectiveError, oracle_solve
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "Allocation",

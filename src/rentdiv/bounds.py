@@ -13,8 +13,11 @@ its bounds), or a dead end where every room is forced to move in the same
 direction, which the fixed total rent forbids.
 
 maximin_rents / leximin_rents / minspread_rents then optimize inside the
-feasible region, starting from any in-bounds EF point. They share the same
-motion engine; only the set selection, guards and merge tracking differ.
+feasible region, starting from any in-bounds EF point. Every motion, repair
+included, is one EventEngine.step; only the set selection, guards and merge
+tracking differ. Maximin and leximin share one min-class lift, which raises
+the lowest utility among unfrozen rooms until it is stuck: maximin lifts
+once, leximin freezes the rooms a lower-bound chain pins and lifts again.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .dynamics import EventEngine, TraceLog, Watch, conserving_plan
+from .dynamics import EventEngine, TraceLog
 from .ef_base import initial_ef_allocation
 from .envy import _closure
 from .model import (
@@ -67,15 +70,12 @@ def _classes(rents, lower, upper):
     return below, above, at_lower, at_upper
 
 
-def _start_state(inst, assignment, rents, lower, upper, inside_bounds):
+def _start_state(inst, assignment, rents):
     assert len(rents) == inst.n
     assert sum(rents, Fraction(0)) == inst.total_rent
     engine = EventEngine(inst, assignment)
     _, _, strong = engine.weak_strong_adjacency(rents)
     assert not strong, "starting rents are not envy-free"
-    if inside_bounds:
-        assert all(lower[j] <= rents[j] <= upper[j] for j in range(inst.n)), \
-            "objective stage needs an in-bounds starting point"
     return engine
 
 
@@ -127,8 +127,7 @@ def ef_rents_with_bounds(inst: Instance, assignment: Assignment, rents=None,
     if rents is None:
         rents = initial_ef_allocation(inst, assignment, trace=trace).rents
     rents = tuple(rents)
-    engine = _start_state(inst, assignment, rents, lower, upper, False)
-    watch = Watch(lower=lower, upper=upper, merge_rooms=None)
+    engine = _start_state(inst, assignment, rents)
 
     def certificate(explanation, path=None, rooms=None):
         return InfeasibilityCertificate(
@@ -181,11 +180,8 @@ def ef_rents_with_bounds(inst: Instance, assignment: Assignment, rents=None,
                 "their upper bounds, so the fixed total rent cannot absorb "
                 "the drop", rooms=tuple(range(n))))
 
-        plan = conserving_plan(n, s_inc, s_dec, unit="inc")
-        event = engine.scan(rents, plan, lower, upper, watch.merge_rooms)
-        assert event.time is not None, "bounded repair ray cannot be infinite"
-        rents = tuple(r + c * event.time
-                      for r, c in zip(rents, plan.rate_of_room))
+        event, rents = engine.step(rents, s_inc, s_dec, "inc", lower, upper,
+                                   None)
         if trace is not None:
             trace.record("bounds", event.time, event.kinds,
                          {"inc": len(s_inc), "dec": len(s_dec),
@@ -196,9 +192,67 @@ def ef_rents_with_bounds(inst: Instance, assignment: Assignment, rents=None,
             trace.peak("alg1_iterations", iterations)
 
 
-def _occupant_utilities(engine: EventEngine, inst: Instance, rents):
-    return [inst.valuations[engine.agent_of_room[x]][x] - rents[x]
-            for x in range(inst.n)]
+def _occupant_utilities(engine: EventEngine, rents):
+    vals = engine.inst.valuations
+    return [vals[engine.agent_of_room[x]][x] - rents[x]
+            for x in range(engine.n)]
+
+
+def _objective_start(inst, assignment, rents, lower, upper, trace):
+    """Effective bounds, an in-bounds EF start (None runs the bound repair
+    and requires it to succeed), and the engine for the assignment."""
+    lower, upper = _effective(inst, lower, upper)
+    if rents is None:
+        repaired = ef_rents_with_bounds(inst, assignment, None, lower, upper,
+                                        trace)
+        assert repaired.ok, "no starting point: the rent bounds are infeasible"
+        rents = repaired.rents
+    rents = tuple(rents)
+    assert all(lower[j] <= rents[j] <= upper[j] for j in range(inst.n)), \
+        "objective stage needs an in-bounds starting point"
+    return _start_state(inst, assignment, rents), rents, lower, upper
+
+
+def _lift_min_class(engine: EventEngine, rents, lower, upper, frozen, cap,
+                    phase, trace):
+    """Raise the lowest utility among unfrozen rooms until it is stuck.
+
+    The minimum class pays less together with everything that weakly envies
+    it, balanced by the rooms neither dragged along nor capped. The lift
+    stops when no room is left to pay more, or when a chain from rooms at
+    their lower bounds reaches the class. Returns (rents, floored, moves):
+    floored is the part of the class such a chain pins (empty in the first
+    case), moves the number of events taken, at most cap."""
+    n = engine.n
+    everything = frozenset(range(n))
+    moves = 0
+    while True:
+        succ, pred, strong = engine.weak_strong_adjacency(rents)
+        assert not strong
+        _, _, at_lower, at_upper = _classes(rents, lower, upper)
+        util = _occupant_utilities(engine, rents)
+        m = min(util[x] for x in range(n) if x not in frozen)
+        min_class = frozenset(x for x in range(n)
+                              if x not in frozen and util[x] == m)
+        pulled_down = _closure(n, pred, min_class)
+        blocked = pulled_down | _closure(n, pred, at_upper)
+        if blocked == everything:
+            return rents, frozenset(), moves
+        floored = _closure(n, succ, at_lower) & min_class
+        if floored:
+            return rents, floored, moves
+        s_inc = everything - blocked
+        event, rents = engine.step(rents, s_inc, pulled_down, "dec", lower,
+                                   upper, min_class)
+        moves += 1
+        assert moves <= cap, f"{phase} does not settle"
+        if trace is not None:
+            trace.record(phase, event.time, event.kinds,
+                         {"min_class": len(min_class), "inc": len(s_inc),
+                          "frozen": len(frozen)},
+                         rents=rents, assignment=engine.assignment,
+                         lower=lower, upper=upper)
+            trace.bump(f"{phase}_events")
 
 
 def maximin_rents(inst: Instance, assignment: Assignment, rents=None,
@@ -207,49 +261,12 @@ def maximin_rents(inst: Instance, assignment: Assignment, rents=None,
     """Raise the minimum occupant utility as far as the bounds allow.
 
     Starting rents must be EF and inside the bounds (None runs the bound
-    repair first and requires it to succeed); the result stays both. The
-    whole minimum-utility class pays less while everything it drags down
-    pays less too, balanced by the rooms still free to pay more."""
-    n = inst.n
-    lower, upper = _effective(inst, lower, upper)
-    if rents is None:
-        repaired = ef_rents_with_bounds(inst, assignment, None, lower, upper,
-                                        trace)
-        assert repaired.ok, "no starting point: the rent bounds are infeasible"
-        rents = repaired.rents
-    rents = tuple(rents)
-    engine = _start_state(inst, assignment, rents, lower, upper, True)
-
-    events = 0
-    while True:
-        succ, pred, strong = engine.weak_strong_adjacency(rents)
-        assert not strong
-        _, _, at_lower, at_upper = _classes(rents, lower, upper)
-        util = _occupant_utilities(engine, inst, rents)
-        m = min(util)
-        min_class = {x for x in range(n) if util[x] == m}
-        pulled_down = _closure(n, pred, min_class)
-        capped = _closure(n, pred, at_upper)
-        if pulled_down | capped == frozenset(range(n)):
-            break
-        if _closure(n, succ, at_lower) & min_class:
-            break
-        s_inc = frozenset(range(n)) - (pulled_down | capped)
-        plan = conserving_plan(n, s_inc, pulled_down, unit="dec")
-        event = engine.scan(rents, plan, lower, upper,
-                            frozenset(min_class))
-        assert event.time is not None, "maximin motion always meets a merge"
-        rents = tuple(r + c * event.time
-                      for r, c in zip(rents, plan.rate_of_room))
-        events += 1
-        assert events <= 2 * n + 8, "maximin does not settle"
-        if trace is not None:
-            trace.record("maximin", event.time, event.kinds,
-                         {"min_class": len(min_class), "inc": len(s_inc)},
-                         rents=rents, assignment=assignment,
-                         lower=lower, upper=upper)
-            trace.bump("maximin_events")
-    return rents
+    repair first and requires it to succeed); the result stays both. One
+    min-class lift, stopped wherever it gets stuck."""
+    engine, rents, lower, upper = _objective_start(inst, assignment, rents,
+                                                   lower, upper, trace)
+    return _lift_min_class(engine, rents, lower, upper, frozenset(),
+                           2 * inst.n + 8, "maximin", trace)[0]
 
 
 def leximin_rents(inst: Instance, assignment: Assignment, rents=None,
@@ -259,61 +276,31 @@ def leximin_rents(inst: Instance, assignment: Assignment, rents=None,
 
     Once a minimum-utility class is stuck only because it sits on a chain
     from rooms at their lower bounds, those rooms are frozen (their rent
-    pinned) and the remaining rooms keep optimizing."""
+    pinned) and the lift resumes on the remaining rooms."""
+    engine, rents, lower, upper = _objective_start(inst, assignment, rents,
+                                                   lower, upper, trace)
     n = inst.n
-    lower, upper = _effective(inst, lower, upper)
-    if rents is None:
-        repaired = ef_rents_with_bounds(inst, assignment, None, lower, upper,
-                                        trace)
-        assert repaired.ok, "no starting point: the rent bounds are infeasible"
-        rents = repaired.rents
     eff_lo, eff_hi = list(lower), list(upper)
-    rents = tuple(rents)
-    engine = _start_state(inst, assignment, rents, lower, upper, True)
-
-    frozen = set()
-    steps = 0
-    while True:
-        steps += 1
-        assert steps <= 2 * n * n + 10 * n + 10, "leximin does not settle"
-        active = [x for x in range(n) if x not in frozen]
-        if not active:
+    frozen = frozenset()
+    # every lift event and every freeze spends one step of the budget
+    budget = 2 * n * n + 10 * n + 10
+    while len(frozen) < n:
+        rents, floored, moves = _lift_min_class(
+            engine, rents, tuple(eff_lo), tuple(eff_hi), frozen, budget,
+            "leximin", trace)
+        budget -= moves + 1
+        if not floored:
             break
-        succ, pred, strong = engine.weak_strong_adjacency(rents)
-        assert not strong
-        _, _, at_lower, at_upper = _classes(rents, eff_lo, eff_hi)
-        util = _occupant_utilities(engine, inst, rents)
-        m = min(util[x] for x in active)
-        min_class = {x for x in active if util[x] == m}
-        pulled_down = _closure(n, pred, min_class)
-        capped = _closure(n, pred, at_upper)
-        if pulled_down | capped == frozenset(range(n)):
-            break
-        floored = _closure(n, succ, at_lower) & min_class
-        if floored:
-            frozen |= floored
-            for x in floored:
-                eff_lo[x] = eff_hi[x] = rents[x]
-            if trace is not None:
-                trace.record("leximin", Fraction(0),
-                             (("freeze", tuple(sorted(floored))),),
-                             {"frozen": len(frozen)}, rents=rents,
-                             assignment=assignment, lower=tuple(eff_lo),
-                             upper=tuple(eff_hi))
-            continue
-        s_inc = frozenset(range(n)) - (pulled_down | capped)
-        plan = conserving_plan(n, s_inc, pulled_down, unit="dec")
-        event = engine.scan(rents, plan, tuple(eff_lo), tuple(eff_hi),
-                            frozenset(min_class))
-        assert event.time is not None, "leximin motion always meets a merge"
-        rents = tuple(r + c * event.time
-                      for r, c in zip(rents, plan.rate_of_room))
+        assert budget >= 0, "leximin does not settle"
+        frozen |= floored
+        for x in floored:
+            eff_lo[x] = eff_hi[x] = rents[x]
         if trace is not None:
-            trace.record("leximin", event.time, event.kinds,
-                         {"min_class": len(min_class), "frozen": len(frozen)},
-                         rents=rents, assignment=assignment,
-                         lower=tuple(eff_lo), upper=tuple(eff_hi))
-            trace.bump("leximin_events")
+            trace.record("leximin", Fraction(0),
+                         (("freeze", tuple(sorted(floored))),),
+                         {"frozen": len(frozen)}, rents=rents,
+                         assignment=assignment, lower=tuple(eff_lo),
+                         upper=tuple(eff_hi))
     return rents
 
 
@@ -334,7 +321,7 @@ def minspread_rents(inst: Instance, assignment: Assignment, rents=None,
     rents = tuple(maximin_rents(inst, assignment, rents, lower, upper, trace))
     engine = EventEngine(inst, assignment)
 
-    util = _occupant_utilities(engine, inst, rents)
+    util = _occupant_utilities(engine, rents)
     m = min(util)
     eff_lo = tuple(lower)
     eff_hi = tuple(min(upper[x],
@@ -346,7 +333,7 @@ def minspread_rents(inst: Instance, assignment: Assignment, rents=None,
         succ, pred, strong = engine.weak_strong_adjacency(rents)
         assert not strong
         _, _, at_lower, at_upper = _classes(rents, eff_lo, eff_hi)
-        util = _occupant_utilities(engine, inst, rents)
+        util = _occupant_utilities(engine, rents)
         top = max(util)
         if top == m:
             break
@@ -358,12 +345,8 @@ def minspread_rents(inst: Instance, assignment: Assignment, rents=None,
         if _closure(n, pred, at_upper) & max_class:
             break
         s_dec = frozenset(range(n)) - (pushed_up | floored)
-        plan = conserving_plan(n, pushed_up, s_dec, unit="inc")
-        event = engine.scan(rents, plan, eff_lo, eff_hi,
-                            frozenset(max_class))
-        assert event.time is not None, "spread motion always meets a merge"
-        rents = tuple(r + c * event.time
-                      for r, c in zip(rents, plan.rate_of_room))
+        event, rents = engine.step(rents, pushed_up, s_dec, "inc", eff_lo,
+                                   eff_hi, frozenset(max_class))
         events += 1
         assert events <= 2 * n * n + 10 * n + 10, "spread phase does not settle"
         if trace is not None:

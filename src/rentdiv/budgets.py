@@ -12,7 +12,7 @@ bounds and dispatches the fairness objectives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -36,7 +36,6 @@ from .model import (
     Allocation,
     Assignment,
     BoundSumError,
-    BoundValue,
     InfeasibilityCertificate,
     Instance,
     SolveOutcome,
@@ -56,13 +55,11 @@ class ComponentSubproblem:
 
     agents/rooms hold the original indices (both sorted ascending); instance
     is re-indexed to 0..k-1 with total rent 0, no rent bounds, and the budget
-    matrix restricted to these agents and rooms. delta is the component's
-    maximum feasible total rent once scc_max_rent has computed it."""
+    matrix restricted to these agents and rooms."""
 
     rooms: tuple
     agents: tuple
     instance: Instance
-    delta: Optional[BoundValue] = None
 
 
 def build_subproblem(inst: Instance, alloc: Allocation, rooms) -> ComponentSubproblem:
@@ -174,15 +171,14 @@ def _occupant_caps(inst: Instance, assignment: Assignment):
     return tuple(inst.budgets[occupant[j]][j] for j in range(inst.n))
 
 
-def budget_aware_ef(inst: Instance, objective: str = "any",
+def budget_aware_ef(inst: Instance,
                     trace: Optional[TraceLog] = None) -> SolveOutcome:
     """EF allocation at the instance's total rent with every occupant within
     budget, ignoring rent bounds (combined_solve layers those on top).
 
     The assignment is re-matched per SCC toward maximum rent capacity; the
     occupants' budgets then act as per-room upper bounds for the usual
-    bounded repair, and the objective runs under those caps."""
-    assert objective in OBJECTIVES
+    bounded repair. The outcome carries objective "any"."""
     n = inst.n
     base = initial_ef_allocation(inst, trace=trace)
 
@@ -193,8 +189,7 @@ def budget_aware_ef(inst: Instance, objective: str = "any",
         room_of_agent = [None] * n
         for component in scc_partition(graph):
             sub = build_subproblem(inst, base, component)
-            delta, sub_alloc = scc_max_rent(sub, trace)
-            sub = replace(sub, delta=delta)
+            _, sub_alloc = scc_max_rent(sub, trace)
             for a, x in enumerate(sub_alloc.assignment.room_of_agent):
                 room_of_agent[sub.agents[a]] = sub.rooms[x]
         mu = Assignment(tuple(room_of_agent))
@@ -212,16 +207,15 @@ def budget_aware_ef(inst: Instance, objective: str = "any",
             f"{format_rat(cap_total)}, below the required "
             f"{format_rat(inst.total_rent)}",
             mu, start.rents, caps, tuple(range(n)))
-        return SolveOutcome(status=INFEASIBLE, objective=objective,
+        return SolveOutcome(status=INFEASIBLE, objective="any",
                             certificate=cert)
 
-    no_floor = (NEG_INF,) * n
     result = ef_rents_with_bounds(inst, mu, start.rents,
-                                  lower=no_floor, upper=caps, trace=trace)
+                                  lower=(NEG_INF,) * n, upper=caps, trace=trace)
     if not result.ok:
-        return SolveOutcome(status=INFEASIBLE, objective=objective,
+        return SolveOutcome(status=INFEASIBLE, objective="any",
                             certificate=result.certificate)
-    rents = _dispatch(inst, mu, result.rents, no_floor, caps, objective, trace)
+    rents = result.rents
 
     alloc = Allocation(assignment=mu, rents=rents)
     util = utilities(inst, alloc)
@@ -229,9 +223,8 @@ def budget_aware_ef(inst: Instance, objective: str = "any",
     assert all(rents[j] <= inst.budgets[occupant[j]][j] for j in range(n))
     assert check_envy_free(inst, alloc) == []
     assert sum(rents, Fraction(0)) == inst.total_rent
-    return SolveOutcome(status=SOLVED, objective=objective, allocation=alloc,
-                        utilities=util,
-                        objective_value=_objective_value(objective, util))
+    return SolveOutcome(status=SOLVED, objective="any", allocation=alloc,
+                        utilities=util)
 
 
 def _dispatch(inst, assignment, rents, lower, upper, objective, trace):
@@ -262,8 +255,11 @@ def combined_solve(inst: Instance, objective: str = "any",
 
     Budgets pick the assignment and contribute caps; the caps intersect the
     instance's upper bounds into effective ceilings; the bounded repair and
-    the requested objective run inside that box."""
-    assert objective in OBJECTIVES
+    the requested objective run inside that box. An objective outside
+    OBJECTIVES raises ValueError."""
+    if objective not in OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}; expected one of "
+                         f"{', '.join(OBJECTIVES)}")
     try:
         inst = validate_instance(inst)
     except BoundSumError as err:
@@ -271,7 +267,7 @@ def combined_solve(inst: Instance, objective: str = "any",
                             certificate=err.certificate)
     n = inst.n
 
-    budget_stage = budget_aware_ef(inst, "any", trace)
+    budget_stage = budget_aware_ef(inst, trace)
     if budget_stage.status == INFEASIBLE:
         return SolveOutcome(status=INFEASIBLE, objective=objective,
                             certificate=budget_stage.certificate)

@@ -7,10 +7,10 @@ bounds and budgets also accept "inf"/"-inf". Binary floats never appear:
 JSON decimals are intercepted as strings and parsed by place value.
 
 Result files mirror SolveOutcome: {"status", "objective", "assignment",
-"rents", "utilities", "value", "certificate"?, "trace"?}. Every money
-field is {"exact": "p/q", "decimal": <20 significant digits>}; keys are
-sorted and formatting is fixed, so identical inputs give byte-identical
-output.
+"rents", "utilities", "value", "certificate"?, "trace"?,
+"trace_counters"?}. Every money field is {"exact": "p/q", "decimal": <20
+significant digits>}; keys are sorted and formatting is fixed, so identical
+inputs give byte-identical output.
 
 Exit codes: 0 solved, 1 usage/parse error, 2 infeasible, 3 verification
 failure. Set RENTDIV_LOG=debug|info|warning for stderr logging.
@@ -207,6 +207,7 @@ def outcome_to_json(outcome, agents, rooms, trace=None) -> dict:
                                                  agents, rooms)
     if trace is not None:
         doc["trace"] = trace_to_json(trace, agents, rooms)
+        doc["trace_counters"] = dict(sorted(trace.counters.items()))
     return doc
 
 

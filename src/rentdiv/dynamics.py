@@ -5,11 +5,16 @@ r_j(t) = r_j + c_j * t and stops at the earliest *event*: a new weak-envy
 edge (an EF slack reaching zero), a rent hitting a watched bound, or two
 occupant utilities merging. Event times are exact rationals.
 
-The candidate scan works on integers over common denominators (cross
-multiplication instead of Fraction construction per candidate); only the
-winning time is materialized as a Fraction. The same scan doubles as the
-per-event invariant check: with assert_ef on, any negative EF slack or any
-weak edge about to turn strong trips an assertion.
+EventEngine.step is the one motion primitive: the conserving plan for a
+pair of room sets, the event scan, and the exact move to the event. The EF
+seed, the bound repair and the objectives differ only in the sets, the
+watched bounds and the tracked merges they pass it.
+
+The scan works on integers over common denominators (cross multiplication
+instead of Fraction construction per candidate); only the winning time is
+materialized as a Fraction. It doubles as the per-event invariant check: a
+non-conserving plan, a negative EF slack (unless the caller is still
+removing envy) or a weak edge about to turn strong trips an assertion.
 """
 
 from __future__ import annotations
@@ -17,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Union
+from typing import Optional
 
-from .model import Allocation, Instance, is_finite
+from .model import Instance, is_finite
 
 NEW_WEAK_EDGE = "new_weak_edge"
 BOUND_HIT = "bound_hit"
@@ -30,18 +35,11 @@ LOWER = "lower"
 UPPER = "upper"
 
 
-class OvershootError(ValueError):
-    """advance() asked to move past the next watched event."""
-
-
 @dataclass(frozen=True)
 class RatePlan:
     """Rent velocity per room; conserving plans sum to zero."""
 
     rate_of_room: tuple  # Fraction per room
-
-    def conserves_total(self) -> bool:
-        return sum(self.rate_of_room, Fraction(0)) == 0
 
 
 def conserving_plan(n: int, s_inc, s_dec, unit: str = "inc") -> RatePlan:
@@ -73,24 +71,6 @@ class Event:
 
     time: Optional[Fraction]
     kinds: tuple
-
-
-@dataclass(frozen=True)
-class Watch:
-    """What the event scan looks at.
-
-    lower/upper override the instance bounds (the solvers pass effective
-    bounds: frozen rooms pinned, budget caps merged in); None means the
-    instance's own bounds. merge_rooms is "all" (any converging occupant
-    utilities), a frozenset (merges against that tracked class only), or
-    None (merges off). assert_ef hard-checks EF slack nonnegativity.
-    """
-
-    watch_bounds: bool = True
-    lower: Optional[tuple] = None
-    upper: Optional[tuple] = None
-    merge_rooms: Union[str, frozenset, None] = "all"
-    assert_ef: bool = True
 
 
 @dataclass
@@ -125,6 +105,7 @@ class EventEngine:
 
     def __init__(self, inst: Instance, assignment):
         self.inst = inst
+        self.assignment = assignment
         self.n = inst.n
         self.sigma = assignment.room_of_agent
         self.agent_of_room = [0] * self.n
@@ -167,15 +148,20 @@ class EventEngine:
         return succ, pred, strong
 
     def scan(self, rents, plan: RatePlan, lower, upper, merge_rooms,
-             assert_ef: bool = True, require_conserving: bool = True) -> Event:
+             assert_ef: bool = True) -> Event:
+        """Earliest event for the plan from these rents, or an UNBOUNDED one.
+
+        lower/upper are the watched bounds (None watches none). merge_rooms
+        is "all" (any converging occupant utilities), a frozenset (merges
+        against that tracked class only), or None (merges off). assert_ef
+        hard-checks EF slack nonnegativity."""
         n, dv, sigma = self.n, self.dv, self.sigma
         d = lcm(*[r.denominator for r in rents])
         rnum = [int(r * d) for r in rents]
         rates = plan.rate_of_room
         q = lcm(*[c.denominator for c in rates])
         cnum = [int(c * q) for c in rates]
-        if require_conserving:
-            assert sum(cnum) == 0, "plan does not conserve total rent"
+        assert sum(cnum) == 0, "plan does not conserve total rent"
 
         candidates = []  # (num, den, kind) with num, den > 0
 
@@ -257,42 +243,16 @@ class EventEngine:
                        if num * bd == bn * den)
         return Event(time=Fraction(bn, bd), kinds=tuple(kinds))
 
+    def step(self, rents, s_inc, s_dec, unit, lower, upper, merge_rooms,
+             assert_ef: bool = True):
+        """Move rents along conserving_plan(s_inc, s_dec, unit) to the
+        earliest event and return (event, new_rents).
 
-def _watch_args(inst: Instance, watch: Optional[Watch]):
-    watch = watch if watch is not None else Watch()
-    if watch.watch_bounds:
-        lower = watch.lower if watch.lower is not None else inst.lower_bounds
-        upper = watch.upper if watch.upper is not None else inst.upper_bounds
-    else:
-        lower = upper = None
-    return lower, upper, watch.merge_rooms, watch.assert_ef
-
-
-def next_event(inst: Instance, alloc: Allocation, plan: RatePlan,
-               watch: Optional[Watch] = None) -> Event:
-    """Earliest event for the given motion, exact. Unbounded is a value.
-
-    The default watch looks at everything the instance defines: EF slacks,
-    its rent bounds, and all occupant-utility merges.
-    """
-    engine = EventEngine(inst, alloc.assignment)
-    lower, upper, merges, assert_ef = _watch_args(inst, watch)
-    return engine.scan(alloc.rents, plan, lower, upper, merges,
-                       assert_ef=assert_ef)
-
-
-def advance(inst: Instance, alloc: Allocation, plan: RatePlan, t: Fraction,
-            watch: Optional[Watch] = None, limit: Optional[Event] = None) -> Allocation:
-    """Move exactly to time t: r_j += c_j * t.
-
-    Raises OvershootError if t exceeds the next watched event (pass limit to
-    reuse an Event already computed for this exact state and plan).
-    """
-    if t < 0:
-        raise OvershootError(f"negative time {t}")
-    if limit is None:
-        limit = next_event(inst, alloc, plan, watch)
-    if limit.time is not None and t > limit.time:
-        raise OvershootError(f"t={t} passes the next event at {limit.time}")
-    rents = tuple(r + c * t for r, c in zip(alloc.rents, plan.rate_of_room))
-    return Allocation(assignment=alloc.assignment, rents=rents)
+        The watched arguments are scan's. Every caller's motion is bounded
+        (its set choice guarantees some event ahead), so an unbounded ray is
+        an internal error."""
+        plan = conserving_plan(self.n, s_inc, s_dec, unit)
+        event = self.scan(rents, plan, lower, upper, merge_rooms, assert_ef)
+        assert event.time is not None, "rent motion ray cannot be unbounded"
+        return event, tuple(r + c * event.time
+                            for r, c in zip(rents, plan.rate_of_room))

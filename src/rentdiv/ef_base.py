@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .dynamics import EventEngine, TraceLog, conserving_plan
+from .dynamics import EventEngine, TraceLog
 from .envy import _closure
 from .matching import max_welfare_assignment
 from .model import Allocation, Assignment, Instance, check_envy_free
@@ -48,11 +48,8 @@ def initial_ef_allocation(inst: Instance, assignment: Optional[Assignment] = Non
             s_inc = _closure(n, succ, {to_room})
             assert not (s_dec & s_inc), \
                 "strong envy cycle under a max-welfare assignment"
-            plan = conserving_plan(n, s_inc, s_dec, unit="dec")
-            event = engine.scan(rents, plan, None, None, None, assert_ef=False)
-            assert event.time is not None, "phase motion cannot be unbounded"
-            rents = tuple(r + c * event.time
-                          for r, c in zip(rents, plan.rate_of_room))
+            event, rents = engine.step(rents, s_inc, s_dec, "dec", None, None,
+                                       None, assert_ef=False)
             phase_events += 1
             total_events += 1
             assert phase_events <= n * n + 2 * n + 4, "phase does not settle"

@@ -139,17 +139,17 @@ def scc_partition(g: EnvyGraph) -> tuple:
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
-            advanced = False
+            descended = False
             for k in range(pi, len(succ[v])):
                 w = succ[v][k]
                 if index[w] == -1:
                     work[-1] = (v, k + 1)
                     work.append((w, 0))
-                    advanced = True
+                    descended = True
                     break
                 if on_stack[w]:
                     low[v] = min(low[v], index[w])
-            if advanced:
+            if descended:
                 continue
             work.pop()
             if low[v] == index[v]:

@@ -12,9 +12,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
-from typing import Optional, Sequence, Union
-
-Rational = Fraction
+from typing import Optional, Union
 
 NEG_INF = -math.inf
 POS_INF = math.inf
@@ -125,9 +123,6 @@ class Allocation:
 
     assignment: Assignment
     rents: tuple  # Fraction per room
-
-    def rent_of_agent(self, agent: int) -> Fraction:
-        return self.rents[self.assignment.room(agent)]
 
 
 @dataclass(frozen=True)
@@ -267,14 +262,6 @@ def validate_instance(raw: Instance) -> Instance:
             effective_lower=raw.lower_bounds, effective_upper=raw.upper_bounds)
         raise BoundSumError(cert.explanation, cert)
     return raw
-
-
-def check_allocation_shape(inst: Instance, alloc: Allocation) -> None:
-    perm = alloc.assignment.room_of_agent
-    if sorted(perm) != list(range(inst.n)):
-        raise ShapeError("assignment is not a permutation of the rooms")
-    if len(alloc.rents) != inst.n:
-        raise ShapeError("rent vector length mismatch")
 
 
 def utilities(inst: Instance, alloc: Allocation) -> tuple:

@@ -449,14 +449,18 @@ def _solved_outcome(inst, objective, assignment, rents, value):
 def oracle_solve(inst: Instance, objective: str = "any") -> SolveOutcome:
     """Brute-force answer: every welfare-max assignment, solved by LP, best
     kept. Deterministic: assignments are tried in lexicographic order and
-    only strict improvements replace the incumbent."""
+    only strict improvements replace the incumbent. An objective outside
+    ORACLE_OBJECTIVES raises ValueError."""
+    if objective not in ORACLE_OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}; expected one of "
+                         f"{', '.join(ORACLE_OBJECTIVES)}")
     if inst.n > ENUMERATION_LIMIT:
         raise SizeError(f"oracle limited to n <= {ENUMERATION_LIMIT}")
-    assert objective in ORACLE_OBJECTIVES
     try:
         inst = validate_instance(inst)
-    except BoundSumError:
-        return _infeasible_outcome(objective)
+    except BoundSumError as err:
+        return SolveOutcome(status=INFEASIBLE, objective=objective,
+                            certificate=err.certificate)
 
     assignments = all_max_welfare_assignments(inst.valuations)
 

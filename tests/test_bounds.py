@@ -9,6 +9,7 @@ from rentdiv import (
     Assignment,
     check_constraints,
     check_envy_free,
+    combined_solve,
     ef_rents_with_bounds,
     initial_ef_allocation,
     leximin_rents,
@@ -18,7 +19,8 @@ from rentdiv import (
     oracle_solve,
     utilities,
 )
-from rentdiv.model import ENVY_PATH_VIOLATION
+from rentdiv.dynamics import TraceLog
+from rentdiv.model import ENVY_PATH_VIOLATION, SOLVED
 
 
 ID2 = Assignment((0, 1))
@@ -123,6 +125,22 @@ def test_objectives_reject_impossible_bounds():
     inst = make_fix_a(lower_bounds=[0, 3], upper_bounds=[0, 8])
     with pytest.raises(AssertionError):
         maximin_rents(inst, ID2)
+
+
+def test_objectives_record_phase_and_counter():
+    # The benchmark's traced runs read these phase names and counters.
+    for inst, objective in ((make_fix_a(), "maximin"),
+                            (make_fix_a(), "leximin"),
+                            (make_fix_ex(), "minspread")):
+        log = TraceLog()
+        assert combined_solve(inst, objective, log).status == SOLVED
+        moves = {}
+        for ev in log.events:
+            if ev["kinds"][0][0] != "freeze":
+                moves[ev["phase"]] = moves.get(ev["phase"], 0) + 1
+        assert moves.get(objective, 0) >= 1, objective
+        for phase, count in moves.items():
+            assert log.counters[f"{phase}_events"] == count, (objective, phase)
 
 
 def bounded_cases():

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIX_TIE_VALS, make_fix_a, make_fix_ex, make_fix_tie
@@ -111,6 +116,32 @@ def test_combined_propagates_bound_conflicts():
     out = combined_solve(inst, "any")
     assert out.status == INFEASIBLE
     assert out.certificate.kind == ENVY_PATH_VIOLATION
+
+
+UNKNOWN_OBJECTIVE_SCRIPT = """
+from rentdiv import combined_solve, make_instance, oracle_solve
+if __debug__:
+    raise SystemExit("expected to run under python -O")
+inst = make_instance([[10, 2], [4, 6]], 8)
+for solve in (combined_solve, oracle_solve):
+    try:
+        solve(inst, "bogus")
+    except ValueError:
+        continue
+    raise SystemExit(solve.__name__ + " accepted the objective 'bogus'")
+"""
+
+
+def test_unknown_objective_raises_even_under_python_O():
+    for solve in (combined_solve, oracle_solve):
+        with pytest.raises(ValueError, match="bogus"):
+            solve(make_fix_a(), "bogus")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", UNKNOWN_OBJECTIVE_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_combined_unconstrained_matches_plain_pipeline():

@@ -246,9 +246,13 @@ def test_trace_flag_appends_event_log(tmp_path, capsys):
     entry = result["trace"][0]
     assert set(entry) == {"phase", "time", "kinds", "sizes"}
     assert entry["phase"] == "maximin"
+    counters = result["trace_counters"]
+    assert counters["maximin_events"] == len(result["trace"])
 
 
 def test_trace_absent_without_flag(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", write(tmp_path, FIX_A_DOC))
     assert code == 0
-    assert "trace" not in json.loads(out)
+    doc = json.loads(out)
+    assert "trace" not in doc
+    assert "trace_counters" not in doc

@@ -11,93 +11,96 @@ from rentdiv.dynamics import (
     NEW_WEAK_EDGE,
     UNBOUNDED,
     UPPER,
-    OvershootError,
+    EventEngine,
     RatePlan,
-    Watch,
-    advance,
     conserving_plan,
-    next_event,
 )
 from rentdiv.model import POS_INF
 
-
-def alloc(rooms, rents):
-    return Allocation(Assignment(tuple(rooms)), tuple(Fraction(r) for r in rents))
-
-
+ID2 = Assignment((0, 1))
+START = (Fraction(5), Fraction(3))
 SEESAW = RatePlan((Fraction(1), Fraction(-1)))
+
+
+def scan(inst, plan, lower=None, upper=None, merge_rooms="all", rents=START):
+    return EventEngine(inst, ID2).scan(rents, plan, lower, upper, merge_rooms)
 
 
 def test_merge_event():
     # occupant utilities 5 - t and 3 + t meet at t = 1
-    event = next_event(make_fix_a(), alloc([0, 1], [5, 3]), SEESAW)
+    event = scan(make_fix_a(), SEESAW)
     assert event.time == 1
     assert event.kinds == ((MERGE, 0, 1),)
 
 
 def test_bound_hit_preempts_merge():
-    watch = Watch(upper=(Fraction(11, 2), POS_INF))
-    event = next_event(make_fix_a(), alloc([0, 1], [5, 3]), SEESAW, watch)
+    event = scan(make_fix_a(), SEESAW, upper=(Fraction(11, 2), POS_INF))
     assert event.time == Fraction(1, 2)
     assert event.kinds == ((BOUND_HIT, 0, UPPER),)
 
 
 def test_weak_edge_event_with_merges_off():
-    watch = Watch(merge_rooms=None)
-    event = next_event(make_fix_a(), alloc([0, 1], [5, 3]), SEESAW, watch)
+    event = scan(make_fix_a(), SEESAW, merge_rooms=None)
     assert event.time == 3
     assert event.kinds == ((NEW_WEAK_EDGE, 0, 1),)
 
 
 def test_zero_plan_is_unbounded():
-    plan = RatePlan((Fraction(0), Fraction(0)))
-    event = next_event(make_fix_a(), alloc([0, 1], [5, 3]), plan)
+    event = scan(make_fix_a(), RatePlan((Fraction(0), Fraction(0))))
     assert event.time is None
     assert event.kinds == ((UNBOUNDED,),)
 
 
 def test_simultaneous_kinds_reported_together():
-    watch = Watch(upper=(Fraction(6), POS_INF))
-    event = next_event(make_fix_a(), alloc([0, 1], [5, 3]), SEESAW, watch)
+    event = scan(make_fix_a(), SEESAW, upper=(Fraction(6), POS_INF))
     assert event.time == 1
     assert event.kinds == ((BOUND_HIT, 0, UPPER), (MERGE, 0, 1))
 
 
 def test_plan_must_conserve_total():
-    plan = RatePlan((Fraction(1), Fraction(1)))
     with pytest.raises(AssertionError):
-        next_event(make_fix_a(), alloc([0, 1], [5, 3]), plan)
+        scan(make_fix_a(), RatePlan((Fraction(1), Fraction(1))))
 
 
 def test_existing_weak_edge_may_not_turn_strong():
     # at equal rents the tie instance has zero slack in both directions
     with pytest.raises(AssertionError):
-        next_event(make_fix_tie(), alloc([0, 1], [3, 3]), SEESAW)
+        scan(make_fix_tie(), SEESAW, rents=(Fraction(3), Fraction(3)))
 
 
 def test_conserving_plan_rates():
     plan = conserving_plan(4, {0, 1, 2}, {3}, unit="inc")
     assert plan.rate_of_room == (1, 1, 1, -3)
-    assert plan.conserves_total()
+    assert sum(plan.rate_of_room) == 0
     dec_unit = conserving_plan(4, {0}, {1, 2, 3}, unit="dec")
     assert dec_unit.rate_of_room == (3, -1, -1, -1)
 
 
 def test_advance_moves_linearly():
-    out = advance(make_fix_a(), alloc([0, 1], [5, 3]), SEESAW, Fraction(1))
-    assert out.rents == (6, 2)
+    # step moves to the merge at t = 1 along the seesaw
+    event, rents = EventEngine(make_fix_a(), ID2).step(
+        START, {0}, {1}, "inc", None, None, "all")
+    assert event.time == 1
+    assert rents == (6, 2)
 
 
 def test_advance_zero_is_identity():
-    start = alloc([0, 1], [5, 3])
-    assert advance(make_fix_a(), start, SEESAW, Fraction(0)).rents == (5, 3)
+    # a room outside both sets has rate zero and keeps its rent exactly
+    inst = make_instance([[9, 0, 0], [0, 9, 0], [0, 0, 9]], 6)
+    start = (Fraction(2),) * 3
+    event, rents = EventEngine(inst, Assignment((0, 1, 2))).step(
+        start, {0}, {1}, "inc", None, None, "all")
+    assert rents[2] == start[2]
+    assert rents[:2] == (start[0] + event.time, start[1] - event.time)
 
 
-def test_advance_rejects_overshoot():
-    with pytest.raises(OvershootError):
-        advance(make_fix_a(), alloc([0, 1], [5, 3]), SEESAW, Fraction(2))
-    with pytest.raises(OvershootError):
-        advance(make_fix_a(), alloc([0, 1], [5, 3]), SEESAW, Fraction(-1))
+def test_step_rejects_unbounded_ray():
+    # agent 0 already envies room 1 and moving only deepens that envy, so
+    # with bounds and merges unwatched no event ever comes
+    engine = EventEngine(make_fix_a(), ID2)
+    with pytest.raises(AssertionError, match="unbounded"):
+        engine.step((Fraction(9), Fraction(-1)), {0}, {1}, "inc", None, None,
+                    None, assert_ef=False)
 
 
 small_cases = st.integers(min_value=2, max_value=5).flatmap(
@@ -121,13 +124,18 @@ def test_advance_conserves_and_stays_envy_free(case):
     start = initial_ef_allocation(inst)
     n = inst.n
     plan = conserving_plan(n, {up}, {down})
+    engine = EventEngine(inst, start.assignment)
     try:
-        event = next_event(inst, start, plan)
+        event = engine.scan(start.rents, plan, inst.lower_bounds,
+                            inst.upper_bounds, "all")
     except AssertionError:
         return  # the motion would break a standing tie immediately
     if event.time is None:
         return
-    moved = advance(inst, start, plan, event.time, limit=event)
+    stepped, rents = engine.step(start.rents, {up}, {down}, "inc",
+                                 inst.lower_bounds, inst.upper_bounds, "all")
+    assert stepped == event
+    moved = Allocation(start.assignment, rents)
     assert sum(moved.rents) == sum(start.rents)
     assert check_envy_free(inst, moved) == []
     # the triggering equation holds exactly at the event time
@@ -142,7 +150,9 @@ def test_advance_conserves_and_stays_envy_free(case):
             u = utilities(inst, moved)
             assert u[occ[x]] == u[occ[y]]
     # strictly inside the segment nothing has crossed yet
-    half = advance(inst, start, plan, event.time / 2, limit=event)
+    half = Allocation(start.assignment,
+                      tuple(r + c * event.time / 2
+                            for r, c in zip(start.rents, plan.rate_of_room)))
     assert check_envy_free(inst, half) == []
     assert sum(half.rents) == sum(start.rents)
 
@@ -156,15 +166,14 @@ def test_bound_hit_lands_exactly_on_bound(case):
     inst = make_instance(vals, total)
     start = initial_ef_allocation(inst)
     n = inst.n
-    plan = conserving_plan(n, {up}, {down})
     target = start.rents[up] + Fraction(1, 3)
     upper = tuple(target if j == up else POS_INF for j in range(n))
-    watch = Watch(upper=upper)
+    engine = EventEngine(inst, start.assignment)
     try:
-        event = next_event(inst, start, plan, watch)
+        event, rents = engine.step(start.rents, {up}, {down}, "inc",
+                                   inst.lower_bounds, upper, "all")
     except AssertionError:
         return
-    if event.time is None or (BOUND_HIT, up, UPPER) not in event.kinds:
+    if (BOUND_HIT, up, UPPER) not in event.kinds:
         return
-    moved = advance(inst, start, plan, event.time, watch=watch, limit=event)
-    assert moved.rents[up] == target
+    assert rents[up] == target

@@ -1,9 +1,12 @@
+import tomllib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import FIX_EX_VALS, make_fix_a, make_fix_ex, make_fix_tie
+import rentdiv
 from rentdiv import (
     Allocation,
     Assignment,
@@ -188,3 +191,10 @@ def test_equal_utility_across_tied_assignments():
     assert check_envy_free(inst, ident) == []
     assert check_envy_free(inst, swap) == []
     assert utilities(inst, ident) == utilities(inst, swap)
+
+
+def test_version_matches_pyproject():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        meta = tomllib.load(fh)
+    assert rentdiv.__version__ == meta["project"]["version"]

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,11 @@ from rentdiv import (
     Assignment,
     SizeError,
     UnsupportedObjectiveError,
+    combined_solve,
     make_instance,
     oracle_solve,
 )
-from rentdiv.model import INFEASIBLE, POS_INF, SOLVED
+from rentdiv.model import BOUND_SUM_VIOLATION, INFEASIBLE, POS_INF, SOLVED
 from rentdiv.oracle import (
     EQUAL,
     GREATER_EQUAL,
@@ -135,6 +137,16 @@ def test_oracle_reports_infeasible():
     inst = make_fix_a(lower_bounds=[0, 3], upper_bounds=[0, 8])
     out = oracle_solve(inst, "any")
     assert out.status == INFEASIBLE
+
+
+def test_oracle_bound_sum_certificate():
+    # upper bounds 1 + 1 sum below the total rent 8
+    inst = replace(make_fix_a(), upper_bounds=(F(1), F(1)))
+    out = oracle_solve(inst, "maximin")
+    assert out.status == INFEASIBLE
+    assert out.certificate.kind == BOUND_SUM_VIOLATION
+    assert out.certificate.witness_rooms == (0, 1)
+    assert out.certificate == combined_solve(inst, "maximin").certificate
 
 
 def test_oracle_size_gate():
