@@ -9,6 +9,7 @@ for cross-checking.
 from .budgets import budget_aware_ef, combined_solve, scc_max_rent
 from .bounds import (
     BoundsResult,
+    check_certificate,
     ef_rents_with_bounds,
     leximin_rents,
     maximin_rents,
@@ -26,6 +27,7 @@ from .model import (
     Assignment,
     BoundOrderError,
     BoundSumError,
+    BoundaryError,
     InfeasibilityCertificate,
     Instance,
     ShapeError,
@@ -45,6 +47,7 @@ __all__ = [
     "Assignment",
     "BoundOrderError",
     "BoundSumError",
+    "BoundaryError",
     "BoundsResult",
     "EnvyGraph",
     "INFEASIBLE",
@@ -61,6 +64,7 @@ __all__ = [
     "budget_aware_ef",
     "build_budget_graph",
     "build_envy_graph",
+    "check_certificate",
     "check_constraints",
     "check_envy_free",
     "combined_solve",

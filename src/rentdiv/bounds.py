@@ -18,6 +18,9 @@ included, is one EventEngine.step; only the set selection, guards and merge
 tracking differ. Maximin and leximin share one min-class lift, which raises
 the lowest utility among unfrozen rooms until it is stuck: maximin lifts
 once, leximin freezes the rooms a lower-bound chain pins and lifts again.
+
+check_certificate re-derives an infeasibility certificate of any kind from
+the instance alone; `rentdiv verify` runs it on infeasible results.
 """
 
 from __future__ import annotations
@@ -26,10 +29,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .dynamics import EventEngine, TraceLog
+from .dynamics import EventEngine, RentState, TraceLog
 from .ef_base import initial_ef_allocation
-from .envy import _closure
+from .envy import _closure, build_envy_graph, co_reachable, reachable
+from .matching import assignment_welfare, max_welfare_assignment
 from .model import (
+    BOUND_SUM_VIOLATION,
+    BUDGET_CAP_VIOLATION,
     ENVY_PATH_VIOLATION,
     Allocation,
     Assignment,
@@ -71,12 +77,14 @@ def _classes(rents, lower, upper):
 
 
 def _start_state(inst, assignment, rents):
+    """The engine for the assignment and the integer state of EF rents."""
     assert len(rents) == inst.n
     assert sum(rents, Fraction(0)) == inst.total_rent
     engine = EventEngine(inst, assignment)
-    _, _, strong = engine.weak_strong_adjacency(rents)
+    state = RentState.of(rents)
+    _, _, strong = engine.weak_strong_adjacency(state)
     assert not strong, "starting rents are not envy-free"
-    return engine
+    return engine, state
 
 
 def _path_witness(n, succ, sources, sinks):
@@ -126,8 +134,7 @@ def ef_rents_with_bounds(inst: Instance, assignment: Assignment, rents=None,
     lower, upper = _effective(inst, lower, upper)
     if rents is None:
         rents = initial_ef_allocation(inst, assignment, trace=trace).rents
-    rents = tuple(rents)
-    engine = _start_state(inst, assignment, rents)
+    engine, state = _start_state(inst, assignment, tuple(rents))
 
     def certificate(explanation, path=None, rooms=None):
         return InfeasibilityCertificate(
@@ -137,13 +144,14 @@ def ef_rents_with_bounds(inst: Instance, assignment: Assignment, rents=None,
 
     iterations = 0
     while True:
+        rents = state.rents
         below, above, at_lower, at_upper = _classes(rents, lower, upper)
         if not below and not above:
             return BoundsResult(rents=rents, certificate=None)
         iterations += 1
         assert iterations <= n * n, "bound repair does not settle"
 
-        succ, pred, strong = engine.weak_strong_adjacency(rents)
+        succ, pred, strong = engine.weak_strong_adjacency(state)
         assert not strong
         fwd_low = _closure(n, succ, at_lower | below)
         bwd_high = _closure(n, pred, at_upper | above)
@@ -180,16 +188,99 @@ def ef_rents_with_bounds(inst: Instance, assignment: Assignment, rents=None,
                 "their upper bounds, so the fixed total rent cannot absorb "
                 "the drop", rooms=tuple(range(n))))
 
-        event, rents = engine.step(rents, s_inc, s_dec, "inc", lower, upper,
+        event, state = engine.step(state, s_inc, s_dec, "inc", lower, upper,
                                    None)
         if trace is not None:
             trace.record("bounds", event.time, event.kinds,
                          {"inc": len(s_inc), "dec": len(s_dec),
                           "below": len(below), "above": len(above)},
-                         rents=rents, assignment=assignment,
+                         rents=state.rents, assignment=assignment,
                          lower=lower, upper=upper)
             trace.bump("bounds_events")
             trace.peak("alg1_iterations", iterations)
+
+
+def check_certificate(inst: Instance, cert: InfeasibilityCertificate) -> list:
+    """Problems with an infeasibility certificate, re-derived from the
+    instance alone; an empty list means it proves that no envy-free
+    allocation meets the constraints.
+
+    Every envy-free allocation uses a welfare-maximizing assignment, so the
+    budget-cap and envy-path forms must name one. An envy-path witness's
+    effective bounds may be no tighter than the instance's bounds and its
+    occupants' budgets; its path or dead end is then checked on the envy
+    graph at its final rents."""
+    n = inst.n
+    everything = frozenset(range(n))
+    if cert.kind == BOUND_SUM_VIOLATION:
+        problems = []
+        if set(cert.witness_rooms or ()) != everything:
+            problems.append("witness must name every room")
+        if not (sum(inst.lower_bounds) > inst.total_rent
+                or sum(inst.upper_bounds) < inst.total_rent):
+            problems.append("bound sums do not exclude the total")
+        return problems
+    if cert.kind not in (BUDGET_CAP_VIOLATION, ENVY_PATH_VIOLATION):
+        return [f"unknown certificate kind {cert.kind!r}"]
+    if cert.assignment is None:
+        return ["certificate names no assignment"]
+    if sorted(cert.assignment.room_of_agent) != list(range(n)):
+        return ["certificate assignment is not a permutation of the rooms"]
+    vals = inst.valuations
+    if assignment_welfare(vals, cert.assignment) \
+            != assignment_welfare(vals, max_welfare_assignment(vals)):
+        return ["certificate assignment does not maximize welfare"]
+    occupant = cert.assignment.agent_of_room()
+    ceiling = [min(inst.upper_bounds[j], inst.budgets[occupant[j]][j])
+               for j in range(n)]
+
+    if cert.kind == BUDGET_CAP_VIOLATION:
+        if not cert.witness_rooms:
+            return ["budget-cap witness names no rooms"]
+        if set(cert.witness_rooms) == everything:
+            if not sum(ceiling) < inst.total_rent:
+                return ["caps do not exclude the total"]
+            return []
+        return [f"room {j} fits under its cap" for j in cert.witness_rooms
+                if not inst.lower_bounds[j] > ceiling[j]]
+
+    rents, lower, upper = (cert.final_rents, cert.effective_lower,
+                           cert.effective_upper)
+    if rents is None or lower is None or upper is None:
+        return ["envy-path witness lacks its final rents or bounds"]
+    problems = []
+    if sum(rents, Fraction(0)) != inst.total_rent:
+        problems.append("witness rents break the total")
+    for j in range(n):
+        if lower[j] > inst.lower_bounds[j] or upper[j] < ceiling[j]:
+            problems.append(f"room {j}: effective bounds are tighter than "
+                            f"the instance allows")
+    graph = build_envy_graph(inst, Allocation(cert.assignment, tuple(rents)))
+    below, above, at_lower, at_upper = _classes(rents, lower, upper)
+    path = cert.witness_path
+    if path is not None:
+        if not path:
+            return problems + ["witness path is empty"]
+        succ = graph.successors()
+        for a, b in zip(path, path[1:]):
+            if b not in succ[a]:
+                problems.append(f"path edge {a}->{b} not in the final envy "
+                                f"graph")
+        pinned_down = path[0] in (below | at_lower) and path[-1] in above
+        pinned_up = path[0] in below and path[-1] in (above | at_upper)
+        if not (pinned_down or pinned_up):
+            problems.append("path endpoints not pinned to opposite bounds")
+    else:
+        if set(cert.witness_rooms or ()) != everything:
+            problems.append("dead-end witness must name every room")
+        forced_up = (below and not above
+                     and reachable(graph, below | at_lower) == everything)
+        forced_down = (above and not below
+                       and co_reachable(graph, above | at_upper) == everything)
+        if not (forced_up or forced_down):
+            problems.append("dead-end rule does not apply at the witness "
+                            "state")
+    return problems
 
 
 def _occupant_utilities(engine: EventEngine, rents):
@@ -199,8 +290,9 @@ def _occupant_utilities(engine: EventEngine, rents):
 
 
 def _objective_start(inst, assignment, rents, lower, upper, trace):
-    """Effective bounds, an in-bounds EF start (None runs the bound repair
-    and requires it to succeed), and the engine for the assignment."""
+    """The engine for the assignment, the integer state of an in-bounds EF
+    start (None runs the bound repair and requires it to succeed), and the
+    effective bounds."""
     lower, upper = _effective(inst, lower, upper)
     if rents is None:
         repaired = ef_rents_with_bounds(inst, assignment, None, lower, upper,
@@ -210,10 +302,10 @@ def _objective_start(inst, assignment, rents, lower, upper, trace):
     rents = tuple(rents)
     assert all(lower[j] <= rents[j] <= upper[j] for j in range(inst.n)), \
         "objective stage needs an in-bounds starting point"
-    return _start_state(inst, assignment, rents), rents, lower, upper
+    return (*_start_state(inst, assignment, rents), lower, upper)
 
 
-def _lift_min_class(engine: EventEngine, rents, lower, upper, frozen, cap,
+def _lift_min_class(engine: EventEngine, state, lower, upper, frozen, cap,
                     phase, trace):
     """Raise the lowest utility among unfrozen rooms until it is stuck.
 
@@ -222,12 +314,14 @@ def _lift_min_class(engine: EventEngine, rents, lower, upper, frozen, cap,
     stops when no room is left to pay more, or when a chain from rooms at
     their lower bounds reaches the class. Returns (rents, floored, moves):
     floored is the part of the class such a chain pins (empty in the first
-    case), moves the number of events taken, at most cap."""
+    case), moves the number of events taken, at most cap. The rents come in
+    and go out as a RentState."""
     n = engine.n
     everything = frozenset(range(n))
     moves = 0
     while True:
-        succ, pred, strong = engine.weak_strong_adjacency(rents)
+        rents = state.rents
+        succ, pred, strong = engine.weak_strong_adjacency(state)
         assert not strong
         _, _, at_lower, at_upper = _classes(rents, lower, upper)
         util = _occupant_utilities(engine, rents)
@@ -237,12 +331,12 @@ def _lift_min_class(engine: EventEngine, rents, lower, upper, frozen, cap,
         pulled_down = _closure(n, pred, min_class)
         blocked = pulled_down | _closure(n, pred, at_upper)
         if blocked == everything:
-            return rents, frozenset(), moves
+            return state, frozenset(), moves
         floored = _closure(n, succ, at_lower) & min_class
         if floored:
-            return rents, floored, moves
+            return state, floored, moves
         s_inc = everything - blocked
-        event, rents = engine.step(rents, s_inc, pulled_down, "dec", lower,
+        event, state = engine.step(state, s_inc, pulled_down, "dec", lower,
                                    upper, min_class)
         moves += 1
         assert moves <= cap, f"{phase} does not settle"
@@ -250,9 +344,15 @@ def _lift_min_class(engine: EventEngine, rents, lower, upper, frozen, cap,
             trace.record(phase, event.time, event.kinds,
                          {"min_class": len(min_class), "inc": len(s_inc),
                           "frozen": len(frozen)},
-                         rents=rents, assignment=engine.assignment,
+                         rents=state.rents, assignment=engine.assignment,
                          lower=lower, upper=upper)
             trace.bump(f"{phase}_events")
+
+
+def _maximin(engine, state, lower, upper, trace):
+    """One min-class lift from the state, with maximin's event cap."""
+    return _lift_min_class(engine, state, lower, upper, frozenset(),
+                           2 * engine.n + 8, "maximin", trace)[0]
 
 
 def maximin_rents(inst: Instance, assignment: Assignment, rents=None,
@@ -263,10 +363,9 @@ def maximin_rents(inst: Instance, assignment: Assignment, rents=None,
     Starting rents must be EF and inside the bounds (None runs the bound
     repair first and requires it to succeed); the result stays both. One
     min-class lift, stopped wherever it gets stuck."""
-    engine, rents, lower, upper = _objective_start(inst, assignment, rents,
+    engine, state, lower, upper = _objective_start(inst, assignment, rents,
                                                    lower, upper, trace)
-    return _lift_min_class(engine, rents, lower, upper, frozenset(),
-                           2 * inst.n + 8, "maximin", trace)[0]
+    return _maximin(engine, state, lower, upper, trace).rents
 
 
 def leximin_rents(inst: Instance, assignment: Assignment, rents=None,
@@ -277,7 +376,7 @@ def leximin_rents(inst: Instance, assignment: Assignment, rents=None,
     Once a minimum-utility class is stuck only because it sits on a chain
     from rooms at their lower bounds, those rooms are frozen (their rent
     pinned) and the lift resumes on the remaining rooms."""
-    engine, rents, lower, upper = _objective_start(inst, assignment, rents,
+    engine, state, lower, upper = _objective_start(inst, assignment, rents,
                                                    lower, upper, trace)
     n = inst.n
     eff_lo, eff_hi = list(lower), list(upper)
@@ -285,8 +384,8 @@ def leximin_rents(inst: Instance, assignment: Assignment, rents=None,
     # every lift event and every freeze spends one step of the budget
     budget = 2 * n * n + 10 * n + 10
     while len(frozen) < n:
-        rents, floored, moves = _lift_min_class(
-            engine, rents, tuple(eff_lo), tuple(eff_hi), frozen, budget,
+        state, floored, moves = _lift_min_class(
+            engine, state, tuple(eff_lo), tuple(eff_hi), frozen, budget,
             "leximin", trace)
         budget -= moves + 1
         if not floored:
@@ -294,14 +393,14 @@ def leximin_rents(inst: Instance, assignment: Assignment, rents=None,
         assert budget >= 0, "leximin does not settle"
         frozen |= floored
         for x in floored:
-            eff_lo[x] = eff_hi[x] = rents[x]
+            eff_lo[x] = eff_hi[x] = state.rents[x]
         if trace is not None:
             trace.record("leximin", Fraction(0),
                          (("freeze", tuple(sorted(floored))),),
-                         {"frozen": len(frozen)}, rents=rents,
+                         {"frozen": len(frozen)}, rents=state.rents,
                          assignment=assignment, lower=tuple(eff_lo),
                          upper=tuple(eff_hi))
-    return rents
+    return state.rents
 
 
 def minspread_rents(inst: Instance, assignment: Assignment, rents=None,
@@ -317,11 +416,11 @@ def minspread_rents(inst: Instance, assignment: Assignment, rents=None,
     that merely tied for the minimum free to improve, which the smallest
     gap sometimes requires."""
     n = inst.n
-    lower, upper = _effective(inst, lower, upper)
-    rents = tuple(maximin_rents(inst, assignment, rents, lower, upper, trace))
-    engine = EventEngine(inst, assignment)
+    engine, state, lower, upper = _objective_start(inst, assignment, rents,
+                                                   lower, upper, trace)
+    state = _maximin(engine, state, lower, upper, trace)
 
-    util = _occupant_utilities(engine, rents)
+    util = _occupant_utilities(engine, state.rents)
     m = min(util)
     eff_lo = tuple(lower)
     eff_hi = tuple(min(upper[x],
@@ -330,7 +429,8 @@ def minspread_rents(inst: Instance, assignment: Assignment, rents=None,
 
     events = 0
     while True:
-        succ, pred, strong = engine.weak_strong_adjacency(rents)
+        rents = state.rents
+        succ, pred, strong = engine.weak_strong_adjacency(state)
         assert not strong
         _, _, at_lower, at_upper = _classes(rents, eff_lo, eff_hi)
         util = _occupant_utilities(engine, rents)
@@ -345,14 +445,14 @@ def minspread_rents(inst: Instance, assignment: Assignment, rents=None,
         if _closure(n, pred, at_upper) & max_class:
             break
         s_dec = frozenset(range(n)) - (pushed_up | floored)
-        event, rents = engine.step(rents, pushed_up, s_dec, "inc", eff_lo,
+        event, state = engine.step(state, pushed_up, s_dec, "inc", eff_lo,
                                    eff_hi, frozenset(max_class))
         events += 1
         assert events <= 2 * n * n + 10 * n + 10, "spread phase does not settle"
         if trace is not None:
             trace.record("minspread", event.time, event.kinds,
                          {"max_class": len(max_class), "dec": len(s_dec)},
-                         rents=rents, assignment=assignment,
+                         rents=state.rents, assignment=assignment,
                          lower=eff_lo, upper=eff_hi)
             trace.bump("minspread_events")
-    return rents
+    return state.rents

@@ -26,17 +26,21 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bounds import check_certificate
 from .budgets import combined_solve
 from .dynamics import BOUND_HIT, MERGE, NEW_WEAK_EDGE, TraceLog, UNBOUNDED
 from .matching import SizeError, max_welfare_assignment
 from .model import (
     INFEASIBLE,
+    NEG_INF,
     OBJECTIVES,
     ORACLE_OBJECTIVES,
+    POS_INF,
     SOLVED,
     Allocation,
     Assignment,
     BoundSumError,
+    InfeasibilityCertificate,
     Instance,
     SolveOutcome,
     check_envy_free,
@@ -177,11 +181,27 @@ def _kind_to_json(kind, agents, rooms):
     return [name]
 
 
+def _by_room(values, rooms):
+    if values is None:
+        return None
+    return {rooms[j]: _money(v) for j, v in enumerate(values)}
+
+
 def trace_to_json(trace: TraceLog, agents, rooms) -> list:
+    """Every recorded event with the state after it: rents and the rent
+    bounds in force (null where the stage watches none) per room, and the
+    assignment, so that EF, the total and the bounds can be rechecked from
+    the output alone."""
     return [{"phase": ev["phase"],
              "time": None if ev["time"] is None else format_rat(ev["time"]),
              "kinds": [_kind_to_json(k, agents, rooms) for k in ev["kinds"]],
-             "sizes": ev["sizes"]}
+             "sizes": ev["sizes"],
+             "rents": _by_room(ev["rents"], rooms),
+             "assignment": (None if ev["assignment"] is None
+                            else _assignment_names(ev["assignment"], agents,
+                                                   rooms)),
+             "lower": _by_room(ev["lower"], rooms),
+             "upper": _by_room(ev["upper"], rooms)}
             for ev in trace.events]
 
 
@@ -276,6 +296,92 @@ def _parse_money(entry, where):
         raise InputError(f"{where}: {err}") from err
 
 
+def _parse_assignment(doc, agents, rooms, where):
+    """{agent: room} naming every agent and room once, as an Assignment."""
+    if (not isinstance(doc, dict) or set(doc) != set(agents)
+            or not all(isinstance(room, str) for room in doc.values())
+            or sorted(doc.values()) != sorted(rooms)):
+        raise InputError(f"{where} is not a bijection between the named "
+                         f"agents and rooms")
+    room_index = {name: j for j, name in enumerate(rooms)}
+    return Assignment(room_of_agent=tuple(room_index[doc[a]] for a in agents))
+
+
+def _parse_bound(text, where):
+    if text == "inf":
+        return POS_INF
+    if text == "-inf":
+        return NEG_INF
+    if not isinstance(text, str):
+        raise InputError(f"{where} must be a string")
+    try:
+        return rat(text)
+    except (TypeError, ValueError, ZeroDivisionError) as err:
+        raise InputError(f"{where}: {err}") from err
+
+
+def certificate_from_json(doc, agents, rooms) -> InfeasibilityCertificate:
+    """Inverse of certificate_to_json: room and agent names back to
+    indices, money and bounds back to exact rationals. Raises InputError
+    for a malformed certificate."""
+    if not isinstance(doc, dict):
+        raise InputError("certificate must be an object")
+    if not isinstance(doc.get("kind"), str):
+        raise InputError("certificate has no kind")
+    room_index = {name: j for j, name in enumerate(rooms)}
+
+    def room_list(key):
+        names = doc.get(key)
+        if names is None:
+            return None
+        if not isinstance(names, list) or not all(
+                isinstance(name, str) and name in room_index
+                for name in names):
+            raise InputError(f"certificate {key} must list named rooms")
+        return tuple(room_index[name] for name in names)
+
+    def bound_list(key):
+        texts = doc.get(key)
+        if texts is None:
+            return None
+        if not isinstance(texts, list) or len(texts) != len(rooms):
+            raise InputError(f"certificate {key} must hold one bound per "
+                             f"room")
+        return tuple(_parse_bound(t, f"certificate {key}") for t in texts)
+
+    assignment = doc.get("assignment")
+    if assignment is not None:
+        assignment = _parse_assignment(assignment, agents, rooms,
+                                       "certificate assignment")
+    final_rents = doc.get("final_rents")
+    if final_rents is not None:
+        if not isinstance(final_rents, dict) or set(final_rents) != set(rooms):
+            raise InputError("certificate final_rents must map every named "
+                             "room to a value")
+        final_rents = tuple(_parse_money(final_rents[room],
+                                         f"certificate final_rents[{room}]")
+                            for room in rooms)
+    return InfeasibilityCertificate(
+        kind=doc["kind"], explanation=str(doc.get("explanation", "")),
+        witness_path=room_list("witness_path"),
+        witness_rooms=room_list("witness_rooms"), assignment=assignment,
+        final_rents=final_rents, effective_lower=bound_list("effective_lower"),
+        effective_upper=bound_list("effective_upper"))
+
+
+def _verify_infeasible(doc, inst, result):
+    """Failures of an Infeasible result's certificate, re-derived from the
+    instance by check_certificate."""
+    if not isinstance(result.get("certificate"), dict):
+        return ["infeasible result carries no certificate"]
+    try:
+        cert = certificate_from_json(result["certificate"],
+                                     tuple(doc["agents"]), tuple(doc["rooms"]))
+    except InputError as err:
+        return [str(err)]
+    return [f"certificate: {p}" for p in check_certificate(inst, cert)]
+
+
 def _verify_solved(named: NamedInstance, result):
     """All checks on a Solved result, from exact fields only.
 
@@ -289,15 +395,11 @@ def _verify_solved(named: NamedInstance, result):
     if objective not in ORACLE_OBJECTIVES:
         return [f"unknown objective {objective!r}"], notes
 
-    assignment_doc = result.get("assignment")
-    if (not isinstance(assignment_doc, dict)
-            or set(assignment_doc) != set(agents)
-            or sorted(assignment_doc.values()) != sorted(rooms)):
-        return ["assignment is not a bijection between the named agents "
-                "and rooms"], notes
-    room_index = {name: j for j, name in enumerate(rooms)}
-    sigma = Assignment(room_of_agent=tuple(room_index[assignment_doc[a]]
-                                           for a in agents))
+    try:
+        sigma = _parse_assignment(result.get("assignment"), agents, rooms,
+                                  "assignment")
+    except InputError as err:
+        return [str(err)], notes
 
     rents_doc = result.get("rents")
     if not isinstance(rents_doc, dict) or set(rents_doc) != set(rooms):
@@ -431,11 +533,8 @@ def cmd_verify(args) -> int:
     status = result.get("status")
     failures, notes = [], []
     if status == INFEASIBLE:
-        if not isinstance(result.get("certificate"), dict):
-            failures.append("infeasible result carries no certificate")
-        else:
-            notes.append("result reports infeasible; only the certificate "
-                         "structure is checked here")
+        inst = named.instance if named else bound_sum_error.instance
+        failures = _verify_infeasible(doc, inst, result)
     elif status == SOLVED:
         if bound_sum_error is not None:
             failures.append(f"instance is infeasible before any solve: "

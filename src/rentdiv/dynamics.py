@@ -10,18 +10,26 @@ pair of room sets, the event scan, and the exact move to the event. The EF
 seed, the bound repair and the objectives differ only in the sets, the
 watched bounds and the tracked merges they pass it.
 
-The scan works on integers over common denominators (cross multiplication
-instead of Fraction construction per candidate); only the winning time is
-materialized as a Fraction. It doubles as the per-event invariant check: a
-non-conserving plan, a negative EF slack (unless the caller is still
-removing envy) or a weak edge about to turn strong trips an assertion.
+The engine works on integers only. A RentState holds the rents as integer
+numerators over one common denominator D, kept reduced (gcd(D, *num) == 1,
+so D is the lcm of the rents' denominators), and a RatePlan holds the rates
+as integers over one denominator q. One O(n^2) pass over the EF slacks per
+state gives the weak/strong adjacency, and the scan that follows reuses
+those slacks; the move to an event at t is D <- D * q * t.den with the
+numerators updated to match, then one gcd reduction. Only the winning event
+time is a Fraction; RentState.rents builds the Fraction view where a caller
+needs it (returned rents, bound tests, trace snapshots).
+
+The scan doubles as the per-event invariant check: a non-conserving plan, a
+negative EF slack (unless the caller is still removing envy) or a weak edge
+about to turn strong trips an assertion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .model import Instance, is_finite
@@ -37,27 +45,63 @@ UPPER = "upper"
 
 @dataclass(frozen=True)
 class RatePlan:
-    """Rent velocity per room; conserving plans sum to zero."""
+    """Rent velocity per room: room j moves at num[j] / den (den > 0).
+    Conserving plans sum to zero."""
 
-    rate_of_room: tuple  # Fraction per room
+    num: tuple  # int per room
+    den: int = 1
 
 
 def conserving_plan(n: int, s_inc, s_dec, unit: str = "inc") -> RatePlan:
     """+1 on s_inc and -|s_inc|/|s_dec| on s_dec (unit="inc"), or -1 on s_dec
-    and +|s_dec|/|s_inc| on s_inc (unit="dec"). Total rent is conserved."""
+    and +|s_dec|/|s_inc| on s_inc (unit="dec"). Total rent is conserved.
+
+    Either way s_inc moves at |s_dec| and s_dec at -|s_inc|; the unit only
+    picks the denominator, |s_dec| or |s_inc|."""
     s_inc, s_dec = set(s_inc), set(s_dec)
     assert s_inc and s_dec and not (s_inc & s_dec)
-    rates = [Fraction(0)] * n
-    if unit == "inc":
-        up, down = Fraction(1), Fraction(-len(s_inc), len(s_dec))
-    else:
-        down = Fraction(-1)
-        up = Fraction(len(s_dec), len(s_inc))
+    rates = [0] * n
     for j in s_inc:
-        rates[j] = up
+        rates[j] = len(s_dec)
     for j in s_dec:
-        rates[j] = down
-    return RatePlan(tuple(rates))
+        rates[j] = -len(s_inc)
+    return RatePlan(tuple(rates), len(s_dec) if unit == "inc" else len(s_inc))
+
+
+class RentState:
+    """Rents as integer numerators over one common denominator, reduced so
+    that gcd(den, *num) == 1. Immutable; the Fraction view is built on first
+    use."""
+
+    __slots__ = ("num", "den", "_rents")
+
+    def __init__(self, num, den: int):
+        g = gcd(den, *num)
+        self.num = tuple(x // g for x in num)
+        self.den = den // g
+        self._rents = None
+
+    @classmethod
+    def of(cls, rents) -> "RentState":
+        den = lcm(*[r.denominator for r in rents])
+        return cls([r.numerator * (den // r.denominator) for r in rents], den)
+
+    @property
+    def rents(self) -> tuple:
+        """The rents as a tuple of Fractions."""
+        if self._rents is None:
+            self._rents = tuple(Fraction(x, self.den) for x in self.num)
+        return self._rents
+
+    def moved(self, plan: RatePlan, time: Fraction) -> "RentState":
+        """The rents after moving along plan for time: over the denominator
+        D * q * time.den, room j's numerator is
+        num_j * q * time.den + c_j * time.num * D."""
+        scale = plan.den * time.denominator
+        shift = time.numerator * self.den
+        return RentState([x * scale + c * shift
+                          for x, c in zip(self.num, plan.num)],
+                         self.den * scale)
 
 
 @dataclass(frozen=True)
@@ -100,8 +144,9 @@ class TraceLog:
 
 
 class EventEngine:
-    """Per-solve scanner; caches the integer valuation differences for one
-    fixed assignment so each scan is pure integer work."""
+    """Per-solve scanner for one fixed assignment. Caches the integer
+    valuation differences, and the EF slacks of the last state it saw, so
+    that an adjacency build and the scan after it share one pass."""
 
     def __init__(self, inst: Instance, assignment):
         self.inst = inst
@@ -112,42 +157,51 @@ class EventEngine:
         for i, x in enumerate(self.sigma):
             self.agent_of_room[x] = i
         denoms = [v.denominator for row in inst.valuations for v in row]
-        self.dv = lcm(*denoms) if denoms else 1
-        vnum = [[int(v * self.dv) for v in row] for row in inst.valuations]
+        dv = self.dv = lcm(*denoms) if denoms else 1
+        vnum = [[v.numerator * (dv // v.denominator) for v in row]
+                for row in inst.valuations]
         # diff[i][j] = (v_{i,sigma(i)} - v_ij) * dv
         self.diff = [[vnum[i][self.sigma[i]] - vnum[i][j] for j in range(self.n)]
                      for i in range(self.n)]
         # occupant valuation of each room, scaled
         self.occ_val = [vnum[self.agent_of_room[x]][x] for x in range(self.n)]
+        self._slack_state = None
+        self._slack = None
 
-    def weak_strong_adjacency(self, rents):
-        """Envy adjacency at the current rents, integer math only.
+    def _slacks(self, state: RentState):
+        """slack[i][j]: agent i's own utility minus its utility for room j,
+        times dv * D (zero on i's own room; negative means strong envy)."""
+        if state is not self._slack_state:
+            d = state.den
+            rdv = [x * self.dv for x in state.num]
+            table = []
+            for row, x in zip(self.diff, self.sigma):
+                rx = rdv[x]
+                table.append([dij * d - rx + rj for dij, rj in zip(row, rdv)])
+            self._slack, self._slack_state = table, state
+        return self._slack
+
+    def weak_strong_adjacency(self, state: RentState):
+        """Envy adjacency at the given rents, integer math only.
 
         Returns (succ, pred, strong) with succ/pred as list-of-lists over
         rooms and strong as a sorted list of (from_room, to_room) pairs.
         """
-        n, dv, sigma = self.n, self.dv, self.sigma
-        d = lcm(*[r.denominator for r in rents])
-        rnum = [int(r * d) for r in rents]
+        n, sigma = self.n, self.sigma
         succ = [[] for _ in range(n)]
         pred = [[] for _ in range(n)]
         strong = []
-        for i in range(n):
-            x = sigma[i]
-            row = self.diff[i]
-            rx = rnum[x]
-            for j in range(n):
-                if j == x:
-                    continue
-                if row[j] * d <= (rx - rnum[j]) * dv:
+        for row, x in zip(self._slacks(state), sigma):
+            for j in [j for j, s in enumerate(row) if s <= 0]:
+                if j != x:
                     succ[x].append(j)
                     pred[j].append(x)
-                    if row[j] * d < (rx - rnum[j]) * dv:
+                    if row[j] < 0:
                         strong.append((x, j))
         strong.sort()
         return succ, pred, strong
 
-    def scan(self, rents, plan: RatePlan, lower, upper, merge_rooms,
+    def scan(self, state: RentState, plan: RatePlan, lower, upper, merge_rooms,
              assert_ef: bool = True) -> Event:
         """Earliest event for the plan from these rents, or an UNBOUNDED one.
 
@@ -156,39 +210,30 @@ class EventEngine:
         against that tracked class only), or None (merges off). assert_ef
         hard-checks EF slack nonnegativity."""
         n, dv, sigma = self.n, self.dv, self.sigma
-        d = lcm(*[r.denominator for r in rents])
-        rnum = [int(r * d) for r in rents]
-        rates = plan.rate_of_room
-        q = lcm(*[c.denominator for c in rates])
-        cnum = [int(c * q) for c in rates]
+        d, rnum = state.den, state.num
+        cnum = plan.num
         assert sum(cnum) == 0, "plan does not conserve total rent"
 
-        candidates = []  # (num, den, kind) with num, den > 0
+        # (num, den, kind) with num, den > 0: the event comes at time
+        # num / den * q / (dv * D), so candidates compare as num / den.
+        candidates = []
 
-        # (a) EF slack roots, one per ordered (agent, room) pair.
-        dvd = dv * d
-        for i in range(n):
-            x = sigma[i]
+        # (a) EF slack roots, one per ordered (agent, room) pair; an agent's
+        # slack toward its own room is identically zero.
+        for i, (row, x) in enumerate(zip(self._slacks(state), sigma)):
             cx = cnum[x]
-            row = self.diff[i]
-            for j in range(n):
-                if j == x:
-                    continue
-                s = row[j] * d - (rnum[x] - rnum[j]) * dv
-                cj = cnum[j]
+            for j, s, cj in zip(range(n), row, cnum):
                 if s > 0:
                     if cx > cj:
-                        candidates.append((s * q, dvd * (cx - cj),
-                                           (NEW_WEAK_EDGE, i, j)))
+                        candidates.append((s, cx - cj, (NEW_WEAK_EDGE, i, j)))
                 elif s < 0:
                     assert not assert_ef, \
                         f"EF violated: agent {i} envies room {j}"
                     if cj > cx:
-                        candidates.append(((-s) * q, dvd * (cj - cx),
-                                           (NEW_WEAK_EDGE, i, j)))
+                        candidates.append((-s, cj - cx, (NEW_WEAK_EDGE, i, j)))
                 else:
                     # existing weak edge must not turn strong at t=0+
-                    assert cj >= cx, \
+                    assert cj >= cx or j == x, \
                         f"weak edge ({x}->{j}) would turn strong immediately"
 
         # (b) watched bound crossings.
@@ -201,14 +246,14 @@ class EventEngine:
                                     (upper and upper[j], UPPER)):
                     if bound is None or not is_finite(bound):
                         continue
-                    num = bound.numerator * d - rnum[j] * bound.denominator
+                    bd = bound.denominator
+                    num = bound.numerator * d - rnum[j] * bd
                     # crossing requires motion toward the bound
                     if cj > 0 and num > 0:
-                        candidates.append((num * q, bound.denominator * d * cj,
+                        candidates.append((num * dv, bd * cj,
                                            (BOUND_HIT, j, side)))
                     elif cj < 0 and num < 0:
-                        candidates.append(((-num) * q,
-                                           bound.denominator * d * (-cj),
+                        candidates.append(((-num) * dv, bd * (-cj),
                                            (BOUND_HIT, j, side)))
 
         # (c) occupant-utility merges.
@@ -229,9 +274,9 @@ class EventEngine:
                 - (rnum[x] - rnum[y]) * dv
             dc = cnum[x] - cnum[y]
             if gap > 0 and dc > 0:
-                candidates.append((gap * q, dvd * dc, (MERGE, x, y)))
+                candidates.append((gap, dc, (MERGE, x, y)))
             elif gap < 0 and dc < 0:
-                candidates.append(((-gap) * q, dvd * (-dc), (MERGE, x, y)))
+                candidates.append((-gap, -dc, (MERGE, x, y)))
 
         if not candidates:
             return Event(time=None, kinds=((UNBOUNDED,),))
@@ -241,18 +286,18 @@ class EventEngine:
                 bn, bd = num, den
         kinds = sorted(kind for num, den, kind in candidates
                        if num * bd == bn * den)
-        return Event(time=Fraction(bn, bd), kinds=tuple(kinds))
+        return Event(time=Fraction(bn * plan.den, bd * dv * d),
+                     kinds=tuple(kinds))
 
-    def step(self, rents, s_inc, s_dec, unit, lower, upper, merge_rooms,
-             assert_ef: bool = True):
+    def step(self, state: RentState, s_inc, s_dec, unit, lower, upper,
+             merge_rooms, assert_ef: bool = True):
         """Move rents along conserving_plan(s_inc, s_dec, unit) to the
-        earliest event and return (event, new_rents).
+        earliest event and return (event, new_state).
 
         The watched arguments are scan's. Every caller's motion is bounded
         (its set choice guarantees some event ahead), so an unbounded ray is
         an internal error."""
         plan = conserving_plan(self.n, s_inc, s_dec, unit)
-        event = self.scan(rents, plan, lower, upper, merge_rooms, assert_ef)
+        event = self.scan(state, plan, lower, upper, merge_rooms, assert_ef)
         assert event.time is not None, "rent motion ray cannot be unbounded"
-        return event, tuple(r + c * event.time
-                            for r, c in zip(rents, plan.rate_of_room))
+        return event, state.moved(plan, event.time)

@@ -10,6 +10,12 @@ drift apart), so each phase retires at least one strong edge for good.
 A strong cycle would make the phase ill-posed, but a max-welfare assignment
 never produces one: rotating agents along a strong cycle would beat the
 maximum welfare. Asserted, not handled.
+
+The whole loop runs on one integer RentState (numerators over a common
+denominator, see dynamics): each event costs one pass over the EF slacks,
+shared by the adjacency and the scan, and an exact integer move. Fraction
+rents are built only for the returned allocation and, when a TraceLog is
+passed, for each event's snapshot.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .dynamics import EventEngine, TraceLog
+from .dynamics import EventEngine, RentState, TraceLog
 from .envy import _closure
 from .matching import max_welfare_assignment
 from .model import Allocation, Assignment, Instance, check_envy_free
@@ -32,9 +38,9 @@ def initial_ef_allocation(inst: Instance, assignment: Optional[Assignment] = Non
     if assignment is None:
         assignment = max_welfare_assignment(inst.valuations)
     n = inst.n
-    rents = tuple([Fraction(inst.total_rent, n)] * n)
+    state = RentState.of([Fraction(inst.total_rent, n)] * n)
     engine = EventEngine(inst, assignment)
-    succ, pred, strong = engine.weak_strong_adjacency(rents)
+    succ, pred, strong = engine.weak_strong_adjacency(state)
 
     phases = 0
     total_events = 0
@@ -48,7 +54,7 @@ def initial_ef_allocation(inst: Instance, assignment: Optional[Assignment] = Non
             s_inc = _closure(n, succ, {to_room})
             assert not (s_dec & s_inc), \
                 "strong envy cycle under a max-welfare assignment"
-            event, rents = engine.step(rents, s_inc, s_dec, "dec", None, None,
+            event, state = engine.step(state, s_inc, s_dec, "dec", None, None,
                                        None, assert_ef=False)
             phase_events += 1
             total_events += 1
@@ -57,10 +63,11 @@ def initial_ef_allocation(inst: Instance, assignment: Optional[Assignment] = Non
             if trace is not None:
                 trace.record("initial_ef", event.time, event.kinds,
                              {"dec": len(s_dec), "inc": len(s_inc)},
-                             rents=rents, assignment=assignment)
+                             rents=state.rents, assignment=assignment)
                 trace.bump("initial_ef_events")
-            succ, pred, strong = engine.weak_strong_adjacency(rents)
+            succ, pred, strong = engine.weak_strong_adjacency(state)
 
+    rents = state.rents
     alloc = Allocation(assignment=assignment, rents=rents)
     assert sum(rents, Fraction(0)) == inst.total_rent
     assert check_envy_free(inst, alloc) == []

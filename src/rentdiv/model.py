@@ -40,12 +40,23 @@ class BoundOrderError(ValueError):
     """Some room has lower bound above its upper bound."""
 
 
-class BoundSumError(ValueError):
-    """Bound sums exclude the target total rent (sum l > R_t or sum u < R_t)."""
+class BoundaryError(RuntimeError):
+    """A public-boundary contract failed: an inconsistent SolveOutcome, or a
+    solver allocation that is envious or breaks the constraints. Raised
+    explicitly, not asserted, so the check also runs under python -O."""
 
-    def __init__(self, message: str, certificate: "InfeasibilityCertificate"):
+
+class BoundSumError(ValueError):
+    """Bound sums exclude the target total rent (sum l > R_t or sum u < R_t).
+
+    instance is the otherwise valid instance, so that a certificate for it
+    can still be checked."""
+
+    def __init__(self, message: str, certificate: "InfeasibilityCertificate",
+                 instance: "Instance"):
         super().__init__(message)
         self.certificate = certificate
+        self.instance = instance
 
 
 def rat(x) -> Fraction:
@@ -156,9 +167,14 @@ class SolveOutcome:
     certificate: Optional[InfeasibilityCertificate] = None
 
     def __post_init__(self):
-        assert self.status in (SOLVED, INFEASIBLE)
-        assert (self.status == SOLVED) == (self.allocation is not None)
-        assert (self.status == INFEASIBLE) == (self.certificate is not None)
+        if self.status not in (SOLVED, INFEASIBLE):
+            raise BoundaryError(f"unknown status {self.status!r}")
+        if (self.status == SOLVED) != (self.allocation is not None):
+            raise BoundaryError("a solved outcome carries an allocation, "
+                                "an infeasible one none")
+        if (self.status == INFEASIBLE) != (self.certificate is not None):
+            raise BoundaryError("an infeasible outcome carries a certificate, "
+                                "a solved one none")
 
 
 @dataclass(frozen=True)
@@ -252,7 +268,7 @@ def validate_instance(raw: Instance) -> Instance:
                          f"total rent {format_rat(raw.total_rent)}"),
             witness_rooms=tuple(range(n)),
             effective_lower=raw.lower_bounds, effective_upper=raw.upper_bounds)
-        raise BoundSumError(cert.explanation, cert)
+        raise BoundSumError(cert.explanation, cert, raw)
     if hi_sum < raw.total_rent:
         cert = InfeasibilityCertificate(
             kind=BOUND_SUM_VIOLATION,
@@ -260,7 +276,7 @@ def validate_instance(raw: Instance) -> Instance:
                          f"total rent {format_rat(raw.total_rent)}"),
             witness_rooms=tuple(range(n)),
             effective_lower=raw.lower_bounds, effective_upper=raw.upper_bounds)
-        raise BoundSumError(cert.explanation, cert)
+        raise BoundSumError(cert.explanation, cert, raw)
     return raw
 
 
@@ -327,6 +343,8 @@ def has_finite_budgets(inst: Instance) -> bool:
 
 def assert_solution_boundary(inst: Instance, alloc: Allocation) -> None:
     """Public-boundary invariant: every emitted allocation is EF and feasible."""
-    assert check_envy_free(inst, alloc) == [], "solver produced envious allocation"
+    if check_envy_free(inst, alloc):
+        raise BoundaryError("solver produced envious allocation")
     report = check_constraints(inst, alloc)
-    assert report.all_ok, f"solver violated constraints: {report.violations}"
+    if not report.all_ok:
+        raise BoundaryError(f"solver violated constraints: {report.violations}")

@@ -19,7 +19,7 @@ from rentdiv import (
     oracle_solve,
     utilities,
 )
-from rentdiv.dynamics import TraceLog
+from rentdiv.dynamics import EventEngine, TraceLog
 from rentdiv.model import ENVY_PATH_VIOLATION, SOLVED
 
 
@@ -119,6 +119,22 @@ def test_minspread_fix_a():
 def test_minspread_fix_tie():
     rents = minspread_rents(make_fix_tie(), ID2)
     assert rents == (3, 3)
+
+
+def test_minspread_builds_one_engine(monkeypatch):
+    # the maximin lift and the spread phase share one engine
+    inst = make_fix_ex()
+    start = ef_rents_with_bounds(inst, ID4).rents
+    built = []
+    init = EventEngine.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(EventEngine, "__init__", counting_init)
+    assert minspread_rents(inst, ID4, start) == (1, 0, 1, 2)
+    assert len(built) == 1
 
 
 def test_objectives_reject_impossible_bounds():

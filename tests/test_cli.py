@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,17 @@ FIX_EX_DOC = {
     "total_rent": "4",
     "lower_bounds": ["0", "0", "0", "2"],
     "upper_bounds": ["2", "2", "2", "2"],
+}
+
+
+# three seed events, one bound repair and two leximin events
+TRACE_DOC = {
+    "agents": ["ann", "ben", "cal"],
+    "rooms": ["attic", "bay", "cellar"],
+    "valuations": [["10", "1", "0"], ["8", "4", "0"], ["3", "3", "1"]],
+    "total_rent": "9",
+    "lower_bounds": ["-inf", "5/2", "0"],
+    "upper_bounds": ["7", "inf", "5/2"],
 }
 
 
@@ -196,6 +208,83 @@ def test_verify_rejects_broken_total(tmp_path, capsys):
     assert "total" in out
 
 
+def _verify_infeasible(tmp_path, capsys, doc, forge=None):
+    """Solve an infeasible instance, optionally edit the certificate with
+    forge, and return verify's exit code and output."""
+    inst = write(tmp_path, doc)
+    code, out, _ = run(capsys, "solve", inst)
+    assert code == 2
+    result = json.loads(out)
+    if forge is not None:
+        forge(result["certificate"])
+    path = write(tmp_path, json.dumps(result), name="result.json")
+    code, out, _ = run(capsys, "verify", inst, path)
+    return code, out
+
+
+PINNED_GAP_DOC = dict(FIX_A_DOC, lower_bounds=["0", "3"],
+                      upper_bounds=["0", "8"])
+BOUND_SUM_DOC = dict(FIX_A_DOC, upper_bounds=["1", "1"])
+
+
+def test_verify_accepts_genuine_certificates(tmp_path, capsys):
+    for doc in (PINNED_GAP_DOC, BOUND_SUM_DOC):
+        code, out = _verify_infeasible(tmp_path, capsys, doc)
+        assert code == 0, out
+        assert "verification: PASS" in out
+
+
+def test_verify_rejects_emptied_certificate(tmp_path, capsys):
+    for doc in (PINNED_GAP_DOC, BOUND_SUM_DOC):
+        code, out = _verify_infeasible(tmp_path, capsys, doc,
+                                       forge=lambda cert: cert.clear())
+        assert code == 3
+        assert "certificate has no kind" in out
+
+
+def test_verify_rejects_wrong_kind_certificate(tmp_path, capsys):
+    def relabel(kind):
+        return lambda cert: cert.update(kind=kind)
+
+    code, out = _verify_infeasible(tmp_path, capsys, PINNED_GAP_DOC,
+                                   forge=relabel("bound_sum_violation"))
+    assert code == 3
+    assert "bound sums do not exclude the total" in out
+    code, out = _verify_infeasible(tmp_path, capsys, PINNED_GAP_DOC,
+                                   forge=relabel("budget_cap_violation"))
+    assert code == 3
+    assert "verification: FAIL" in out
+    code, out = _verify_infeasible(tmp_path, capsys, BOUND_SUM_DOC,
+                                   forge=relabel("envy_path_violation"))
+    assert code == 3
+    assert "certificate names no assignment" in out
+
+
+def test_verify_rejects_malformed_certificate(tmp_path, capsys):
+    forgeries = [
+        lambda cert: cert.update(assignment={"alice": 1, "bob": "back"}),
+        lambda cert: cert.update(witness_rooms=["front", "attic"]),
+        lambda cert: cert.update(final_rents={"front": "3", "back": "5"}),
+        lambda cert: cert.update(effective_upper=["0"]),
+    ]
+    for forge in forgeries:
+        code, out = _verify_infeasible(tmp_path, capsys, PINNED_GAP_DOC,
+                                       forge=forge)
+        assert code == 3
+        assert "FAIL: certificate" in out
+
+
+def test_verify_rejects_tightened_witness_bounds(tmp_path, capsys):
+    # a witness may not invent bounds tighter than the instance's own
+    def tighten(cert):
+        cert["effective_lower"] = ["7/2", "3"]
+
+    code, out = _verify_infeasible(tmp_path, capsys, PINNED_GAP_DOC,
+                                   forge=tighten)
+    assert code == 3
+    assert "tighter than the instance allows" in out
+
+
 def test_oracle_maximin_value(tmp_path, capsys):
     code, out, _ = run(capsys, "oracle", write(tmp_path, FIX_A_DOC),
                        "--objective", "maximin")
@@ -235,6 +324,11 @@ def test_solve_output_is_deterministic(tmp_path, capsys):
     assert first == second
 
 
+def _exact(money):
+    text = money["exact"]
+    return {"inf": math.inf, "-inf": -math.inf}.get(text) or Fraction(text)
+
+
 def test_trace_flag_appends_event_log(tmp_path, capsys):
     path = write(tmp_path, FIX_A_DOC)
     code, out, _ = run(capsys, "solve", path, "--objective", "maximin",
@@ -244,10 +338,38 @@ def test_trace_flag_appends_event_log(tmp_path, capsys):
     assert isinstance(result["trace"], list)
     assert result["trace"], "the maximin climb must log at least one event"
     entry = result["trace"][0]
-    assert set(entry) == {"phase", "time", "kinds", "sizes"}
+    assert set(entry) == {"phase", "time", "kinds", "sizes", "rents",
+                          "assignment", "lower", "upper"}
     assert entry["phase"] == "maximin"
     counters = result["trace_counters"]
     assert counters["maximin_events"] == len(result["trace"])
+
+    # every event's state is in the output: recheck the total after each,
+    # EF once the seed has removed all envy, and the bounds outside repair
+    path = write(tmp_path, TRACE_DOC, name="trace.json")
+    code, out, _ = run(capsys, "solve", path, "--objective", "leximin",
+                       "--trace")
+    assert code == 0
+    trace = json.loads(out)["trace"]
+    phases = [entry["phase"] for entry in trace]
+    assert phases == ["initial_ef"] * 3 + ["bounds"] + ["leximin"] * 2
+    value = {(agent, room): Fraction(v)
+             for agent, row in zip(TRACE_DOC["agents"], TRACE_DOC["valuations"])
+             for room, v in zip(TRACE_DOC["rooms"], row)}
+    for k, entry in enumerate(trace):
+        rents = {room: _exact(m) for room, m in entry["rents"].items()}
+        assert sum(rents.values()) == 9
+        if entry["phase"] == "initial_ef" and phases[k + 1] == "initial_ef":
+            assert entry["lower"] is None and entry["upper"] is None
+            continue
+        for agent, own in entry["assignment"].items():
+            mine = value[agent, own] - rents[own]
+            assert all(mine >= value[agent, room] - rents[room]
+                       for room in rents)
+        if entry["phase"] in ("leximin", "maximin", "minspread"):
+            for room, rent in rents.items():
+                assert _exact(entry["lower"][room]) <= rent
+                assert rent <= _exact(entry["upper"][room])
 
 
 def test_trace_absent_without_flag(tmp_path, capsys):

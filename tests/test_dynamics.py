@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,17 +14,19 @@ from rentdiv.dynamics import (
     UPPER,
     EventEngine,
     RatePlan,
+    RentState,
     conserving_plan,
 )
 from rentdiv.model import POS_INF
 
 ID2 = Assignment((0, 1))
 START = (Fraction(5), Fraction(3))
-SEESAW = RatePlan((Fraction(1), Fraction(-1)))
+SEESAW = RatePlan((1, -1))
 
 
 def scan(inst, plan, lower=None, upper=None, merge_rooms="all", rents=START):
-    return EventEngine(inst, ID2).scan(rents, plan, lower, upper, merge_rooms)
+    return EventEngine(inst, ID2).scan(RentState.of(rents), plan, lower, upper,
+                                       merge_rooms)
 
 
 def test_merge_event():
@@ -46,7 +49,7 @@ def test_weak_edge_event_with_merges_off():
 
 
 def test_zero_plan_is_unbounded():
-    event = scan(make_fix_a(), RatePlan((Fraction(0), Fraction(0))))
+    event = scan(make_fix_a(), RatePlan((0, 0)))
     assert event.time is None
     assert event.kinds == ((UNBOUNDED,),)
 
@@ -59,7 +62,7 @@ def test_simultaneous_kinds_reported_together():
 
 def test_plan_must_conserve_total():
     with pytest.raises(AssertionError):
-        scan(make_fix_a(), RatePlan((Fraction(1), Fraction(1))))
+        scan(make_fix_a(), RatePlan((1, 1)))
 
 
 def test_existing_weak_edge_may_not_turn_strong():
@@ -68,28 +71,49 @@ def test_existing_weak_edge_may_not_turn_strong():
         scan(make_fix_tie(), SEESAW, rents=(Fraction(3), Fraction(3)))
 
 
+def rates(plan):
+    return tuple(Fraction(c, plan.den) for c in plan.num)
+
+
 def test_conserving_plan_rates():
     plan = conserving_plan(4, {0, 1, 2}, {3}, unit="inc")
-    assert plan.rate_of_room == (1, 1, 1, -3)
-    assert sum(plan.rate_of_room) == 0
+    assert rates(plan) == (1, 1, 1, -3)
+    assert sum(plan.num) == 0
     dec_unit = conserving_plan(4, {0}, {1, 2, 3}, unit="dec")
-    assert dec_unit.rate_of_room == (3, -1, -1, -1)
+    assert rates(dec_unit) == (3, -1, -1, -1)
+    # both units give the same integer rates over different denominators
+    thirds = conserving_plan(5, {0, 1}, {2, 3, 4}, unit="inc")
+    assert thirds.num == (3, 3, -2, -2, -2) and thirds.den == 3
+    assert rates(thirds) == (1, 1) + (Fraction(-2, 3),) * 3
+
+
+def test_rent_state_is_reduced():
+    rents = (Fraction(5, 6), Fraction(-1, 4), Fraction(3))
+    state = RentState.of(rents)
+    assert state.den == 12 and state.num == (10, -3, 36)
+    assert state.rents == rents
+    # moving by 1/2 at rates (2, -1, -1)/3 lands on denominators 3, 12, 6
+    moved = state.moved(RatePlan((2, -1, -1), 3), Fraction(1, 2))
+    assert moved.rents == (Fraction(7, 6), Fraction(-5, 12), Fraction(17, 6))
+    assert moved.den == 12 and gcd(moved.den, *moved.num) == 1
+    assert RentState.of((Fraction(2),) * 3).den == 1
 
 
 def test_advance_moves_linearly():
     # step moves to the merge at t = 1 along the seesaw
-    event, rents = EventEngine(make_fix_a(), ID2).step(
-        START, {0}, {1}, "inc", None, None, "all")
+    event, state = EventEngine(make_fix_a(), ID2).step(
+        RentState.of(START), {0}, {1}, "inc", None, None, "all")
     assert event.time == 1
-    assert rents == (6, 2)
+    assert state.rents == (6, 2)
 
 
 def test_advance_zero_is_identity():
     # a room outside both sets has rate zero and keeps its rent exactly
     inst = make_instance([[9, 0, 0], [0, 9, 0], [0, 0, 9]], 6)
     start = (Fraction(2),) * 3
-    event, rents = EventEngine(inst, Assignment((0, 1, 2))).step(
-        start, {0}, {1}, "inc", None, None, "all")
+    event, state = EventEngine(inst, Assignment((0, 1, 2))).step(
+        RentState.of(start), {0}, {1}, "inc", None, None, "all")
+    rents = state.rents
     assert rents[2] == start[2]
     assert rents[:2] == (start[0] + event.time, start[1] - event.time)
 
@@ -99,8 +123,8 @@ def test_step_rejects_unbounded_ray():
     # with bounds and merges unwatched no event ever comes
     engine = EventEngine(make_fix_a(), ID2)
     with pytest.raises(AssertionError, match="unbounded"):
-        engine.step((Fraction(9), Fraction(-1)), {0}, {1}, "inc", None, None,
-                    None, assert_ef=False)
+        engine.step(RentState.of((Fraction(9), Fraction(-1))), {0}, {1},
+                    "inc", None, None, None, assert_ef=False)
 
 
 small_cases = st.integers(min_value=2, max_value=5).flatmap(
@@ -125,16 +149,23 @@ def test_advance_conserves_and_stays_envy_free(case):
     n = inst.n
     plan = conserving_plan(n, {up}, {down})
     engine = EventEngine(inst, start.assignment)
+    state = RentState.of(start.rents)
     try:
-        event = engine.scan(start.rents, plan, inst.lower_bounds,
+        event = engine.scan(state, plan, inst.lower_bounds,
                             inst.upper_bounds, "all")
     except AssertionError:
         return  # the motion would break a standing tie immediately
     if event.time is None:
         return
-    stepped, rents = engine.step(start.rents, {up}, {down}, "inc",
-                                 inst.lower_bounds, inst.upper_bounds, "all")
+    stepped, moved_state = engine.step(state, {up}, {down}, "inc",
+                                       inst.lower_bounds, inst.upper_bounds,
+                                       "all")
     assert stepped == event
+    rents = moved_state.rents
+    # the state stays reduced: its denominator is the rents' lcm
+    assert moved_state.den == lcm(*[r.denominator for r in rents])
+    assert rents == tuple(r + c * event.time
+                          for r, c in zip(start.rents, rates(plan)))
     moved = Allocation(start.assignment, rents)
     assert sum(moved.rents) == sum(start.rents)
     assert check_envy_free(inst, moved) == []
@@ -152,7 +183,7 @@ def test_advance_conserves_and_stays_envy_free(case):
     # strictly inside the segment nothing has crossed yet
     half = Allocation(start.assignment,
                       tuple(r + c * event.time / 2
-                            for r, c in zip(start.rents, plan.rate_of_room)))
+                            for r, c in zip(start.rents, rates(plan))))
     assert check_envy_free(inst, half) == []
     assert sum(half.rents) == sum(start.rents)
 
@@ -170,10 +201,10 @@ def test_bound_hit_lands_exactly_on_bound(case):
     upper = tuple(target if j == up else POS_INF for j in range(n))
     engine = EventEngine(inst, start.assignment)
     try:
-        event, rents = engine.step(start.rents, {up}, {down}, "inc",
-                                   inst.lower_bounds, upper, "all")
+        event, state = engine.step(RentState.of(start.rents), {up}, {down},
+                                   "inc", inst.lower_bounds, upper, "all")
     except AssertionError:
         return
     if (BOUND_HIT, up, UPPER) not in event.kinds:
         return
-    assert rents[up] == target
+    assert state.rents[up] == target

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from rentdiv import (
     max_welfare_assignment,
     utilities,
 )
+from rentdiv.dynamics import TraceLog
 from rentdiv.ef_base import shift_rents
 
 
@@ -85,3 +87,83 @@ def test_shift_preserves_envy_structure(case, delta):
                                           utilities(inst, after)))
     assert build_envy_graph(inst, before).edges \
         == build_envy_graph(inst, after).edges
+
+
+def _spliddit_style(seed, n):
+    """Whole-cent valuations: each agent splits the total over the rooms,
+    rooms share a quality and every agent adds integer taste noise."""
+    rng = random.Random(seed)
+    share = rng.randint(500, 1500) * 100
+    total = share * n
+    quality = [rng.randint(-15, 15) for _ in range(n)]
+    vals = []
+    for _ in range(n):
+        weights = [max(5, 100 + quality[j] + rng.randint(-10, 10))
+                   for j in range(n)]
+        row = [total * w // sum(weights) for w in weights]
+        row[rng.randrange(n)] += total - sum(row)
+        vals.append(row)
+    return make_instance(vals, total)
+
+
+def _tie_heavy(seed, n):
+    rng = random.Random(seed)
+    vals = [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+    return make_instance(vals, rng.randint(0, 4 * n))
+
+
+# The seed's whole trajectory on three fixed instances: final rents, event
+# count and every event time. Any change to the seed's path shows here.
+GOLDEN_SEEDS = [
+    (_spliddit_style(8, 8),
+     ("97474691/1350", "388463593/4500", "84518812/1125", "940058317/13500",
+      "78474187/1125", "111561941/1350", "288136093/4500",
+      "889460317/13500"),
+     ("7451/5", "14844/25", "8031/25", "2839/5", "97", "1743/10", "12936/25",
+      "761/2", "6847/50", "97", "8709/250", "879", "194983/375",
+      "475466/1125", "800", "1023337/2250", "10335481/4500", "1089/25",
+      "463157/2250", "2024423/2250", "3559/100", "18775369/13500",
+      "4421593/13500")),
+    (_tie_heavy(35, 7),
+     ("-17/63", "47/42", "59/84", "-85/168", "83/168", "46/63", "-17/63"),
+     ("1/3", "2/9", "1/6", "7/18", "1/36", "5/24")),
+    (_tie_heavy(31, 8),
+     ("265/392", "265/392", "71/56", "265/392", "-127/392", "265/392",
+      "-127/392", "657/392"),
+     ("1/7", "3/7", "3/14", "3/14", "37/98")),
+]
+
+
+def test_seed_trajectory_is_pinned():
+    for inst, rents, times in GOLDEN_SEEDS:
+        trace = TraceLog()
+        out = initial_ef_allocation(inst, trace=trace)
+        assert out.rents == tuple(Fraction(r) for r in rents)
+        assert trace.counters["initial_ef_events"] == len(times)
+        assert tuple(str(ev["time"]) for ev in trace.events) == times
+        assert {ev["phase"] for ev in trace.events} == {"initial_ef"}
+
+
+tie_heavy_instances = st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.integers(min_value=0, max_value=3),
+                          min_size=n, max_size=n),
+                 min_size=n, max_size=n),
+        st.fractions(min_value=-10, max_value=30, max_denominator=3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_instances)
+def test_tie_heavy_seed_is_envy_free_within_caps(case):
+    vals, total = case
+    inst = make_instance(vals, total)
+    n = inst.n
+    trace = TraceLog()
+    out = initial_ef_allocation(inst, trace=trace)
+    assert check_envy_free(inst, out) == []
+    assert sum(out.rents, Fraction(0)) == total
+    events = trace.counters.get("initial_ef_events", 0)
+    assert events == len(trace.events)
+    assert events <= n ** 3 + 8 * n * n + 8
+    for ev in trace.events:
+        assert sum(ev["rents"], Fraction(0)) == total

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tomllib
 from fractions import Fraction
 from pathlib import Path
@@ -12,14 +15,23 @@ from rentdiv import (
     Assignment,
     BoundOrderError,
     BoundSumError,
+    BoundaryError,
     ShapeError,
+    SolveOutcome,
     check_constraints,
     check_envy_free,
     make_instance,
     utilities,
     validate_instance,
 )
-from rentdiv.model import NEG_INF, POS_INF, decimal_str, format_rat, rat
+from rentdiv.model import (
+    NEG_INF,
+    POS_INF,
+    assert_solution_boundary,
+    decimal_str,
+    format_rat,
+    rat,
+)
 
 
 def alloc(rooms, rents):
@@ -198,3 +210,49 @@ def test_version_matches_pyproject():
     with pyproject.open("rb") as fh:
         meta = tomllib.load(fh)
     assert rentdiv.__version__ == meta["project"]["version"]
+
+
+BOUNDARY_SCRIPT = """
+from fractions import Fraction
+from rentdiv import Allocation, Assignment, BoundaryError, SolveOutcome
+from rentdiv import make_instance
+from rentdiv.model import assert_solution_boundary
+if __debug__:
+    raise SystemExit("expected to run under python -O")
+inst = make_instance([[10, 2], [4, 6]], 8, upper_bounds=[7, 7])
+bad = [
+    lambda: SolveOutcome(status="bogus", objective="any"),
+    lambda: SolveOutcome(status="solved", objective="any"),
+    lambda: assert_solution_boundary(inst, Allocation(
+        Assignment((0, 1)), (Fraction(0), Fraction(8)))),
+    lambda: assert_solution_boundary(inst, Allocation(
+        Assignment((0, 1)), (Fraction(8), Fraction(0)))),
+]
+for k, call in enumerate(bad):
+    try:
+        call()
+    except BoundaryError:
+        continue
+    raise SystemExit(f"boundary check {k} did not raise")
+"""
+
+
+def test_boundary_checks_raise_even_under_python_O():
+    inst = make_fix_a(upper_bounds=[7, 7])
+    with pytest.raises(BoundaryError, match="status"):
+        SolveOutcome(status="bogus", objective="any")
+    with pytest.raises(BoundaryError, match="allocation"):
+        SolveOutcome(status="solved", objective="any")
+    with pytest.raises(BoundaryError, match="certificate"):
+        SolveOutcome(status="infeasible", objective="any")
+    with pytest.raises(BoundaryError, match="envious"):
+        assert_solution_boundary(inst, alloc((0, 1), (0, 8)))
+    with pytest.raises(BoundaryError, match="constraints"):
+        assert_solution_boundary(inst, alloc((0, 1), (8, 0)))
+    assert_solution_boundary(inst, alloc((0, 1), (6, 2)))
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", BOUNDARY_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
