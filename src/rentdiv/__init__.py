@@ -6,7 +6,7 @@ bound repair, objectives, budget handling) plus an independent LP oracle
 for cross-checking.
 """
 
-from .budgets import budget_aware_ef, combined_solve, scc_max_rent
+from .budgets import combined_solve, scc_max_rent
 from .bounds import (
     BoundsResult,
     check_certificate,
@@ -61,7 +61,6 @@ __all__ = [
     "SolveOutcome",
     "UnsupportedObjectiveError",
     "all_max_welfare_assignments",
-    "budget_aware_ef",
     "build_budget_graph",
     "build_envy_graph",
     "check_certificate",

@@ -30,7 +30,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .dynamics import EventEngine, RentState, TraceLog
-from .ef_base import initial_ef_allocation
 from .envy import _closure, build_envy_graph, co_reachable, reachable
 from .matching import assignment_welfare, max_welfare_assignment
 from .model import (
@@ -120,7 +119,7 @@ def _rooms_text(rooms):
     return ", ".join(str(j + 1) for j in sorted(rooms))
 
 
-def ef_rents_with_bounds(inst: Instance, assignment: Assignment, rents=None,
+def ef_rents_with_bounds(inst: Instance, assignment: Assignment, rents,
                          lower=None, upper=None,
                          trace: Optional[TraceLog] = None) -> BoundsResult:
     """Move an EF split into the given rent bounds, keeping it EF throughout.
@@ -128,12 +127,9 @@ def ef_rents_with_bounds(inst: Instance, assignment: Assignment, rents=None,
     lower/upper default to the instance bounds; callers pass tightened
     versions (budget caps, frozen rooms). Starting rents must be EF for the
     assignment and sum to the total; they may violate the bounds arbitrarily.
-    When rents is None the unconstrained EF baseline is computed first.
     """
     n = inst.n
     lower, upper = _effective(inst, lower, upper)
-    if rents is None:
-        rents = initial_ef_allocation(inst, assignment, trace=trace).rents
     engine, state = _start_state(inst, assignment, tuple(rents))
 
     def certificate(explanation, path=None, rooms=None):
@@ -209,7 +205,13 @@ def check_certificate(inst: Instance, cert: InfeasibilityCertificate) -> list:
     budget-cap and envy-path forms must name one. An envy-path witness's
     effective bounds may be no tighter than the instance's bounds and its
     occupants' budgets; its path or dead end is then checked on the envy
-    graph at its final rents."""
+    graph at its final rents.
+
+    Budgets bind through the occupants, so those two forms are checked
+    against the named assignment only. They show that this assignment fits
+    no envy-free rents inside its caps, not that no other welfare-maximizing
+    assignment does: a budget-cap certificate naming a poorly rotated
+    assignment passes even when the instance is solvable."""
     n = inst.n
     everything = frozenset(range(n))
     if cert.kind == BOUND_SUM_VIOLATION:
@@ -289,16 +291,10 @@ def _occupant_utilities(engine: EventEngine, rents):
             for x in range(engine.n)]
 
 
-def _objective_start(inst, assignment, rents, lower, upper, trace):
+def _objective_start(inst, assignment, rents, lower, upper):
     """The engine for the assignment, the integer state of an in-bounds EF
-    start (None runs the bound repair and requires it to succeed), and the
-    effective bounds."""
+    start, and the effective bounds."""
     lower, upper = _effective(inst, lower, upper)
-    if rents is None:
-        repaired = ef_rents_with_bounds(inst, assignment, None, lower, upper,
-                                        trace)
-        assert repaired.ok, "no starting point: the rent bounds are infeasible"
-        rents = repaired.rents
     rents = tuple(rents)
     assert all(lower[j] <= rents[j] <= upper[j] for j in range(inst.n)), \
         "objective stage needs an in-bounds starting point"
@@ -355,20 +351,20 @@ def _maximin(engine, state, lower, upper, trace):
                            2 * engine.n + 8, "maximin", trace)[0]
 
 
-def maximin_rents(inst: Instance, assignment: Assignment, rents=None,
+def maximin_rents(inst: Instance, assignment: Assignment, rents,
                   lower=None, upper=None,
                   trace: Optional[TraceLog] = None) -> tuple:
     """Raise the minimum occupant utility as far as the bounds allow.
 
-    Starting rents must be EF and inside the bounds (None runs the bound
-    repair first and requires it to succeed); the result stays both. One
-    min-class lift, stopped wherever it gets stuck."""
+    Starting rents must be EF and inside the bounds (ef_rents_with_bounds
+    finds such a point); the result stays both. One min-class lift, stopped
+    wherever it gets stuck."""
     engine, state, lower, upper = _objective_start(inst, assignment, rents,
-                                                   lower, upper, trace)
+                                                   lower, upper)
     return _maximin(engine, state, lower, upper, trace).rents
 
 
-def leximin_rents(inst: Instance, assignment: Assignment, rents=None,
+def leximin_rents(inst: Instance, assignment: Assignment, rents,
                   lower=None, upper=None,
                   trace: Optional[TraceLog] = None) -> tuple:
     """Maximin, then recursively improve the next-lowest utilities.
@@ -377,7 +373,7 @@ def leximin_rents(inst: Instance, assignment: Assignment, rents=None,
     from rooms at their lower bounds, those rooms are frozen (their rent
     pinned) and the lift resumes on the remaining rooms."""
     engine, state, lower, upper = _objective_start(inst, assignment, rents,
-                                                   lower, upper, trace)
+                                                   lower, upper)
     n = inst.n
     eff_lo, eff_hi = list(lower), list(upper)
     frozen = frozenset()
@@ -403,7 +399,7 @@ def leximin_rents(inst: Instance, assignment: Assignment, rents=None,
     return state.rents
 
 
-def minspread_rents(inst: Instance, assignment: Assignment, rents=None,
+def minspread_rents(inst: Instance, assignment: Assignment, rents,
                     lower=None, upper=None,
                     trace: Optional[TraceLog] = None) -> tuple:
     """Minimize the gap between the highest and lowest occupant utility.
@@ -417,7 +413,7 @@ def minspread_rents(inst: Instance, assignment: Assignment, rents=None,
     gap sometimes requires."""
     n = inst.n
     engine, state, lower, upper = _objective_start(inst, assignment, rents,
-                                                   lower, upper, trace)
+                                                   lower, upper)
     state = _maximin(engine, state, lower, upper, trace)
 
     util = _occupant_utilities(engine, state.rents)

@@ -1,13 +1,14 @@
-"""Budget-aware envy-free division, and the full bounds-plus-budgets solver.
+"""The full bounds-plus-budgets solver.
 
 Budgets enter through the assignment: within each strongly connected
 component of the envy graph the occupants can be rotated along weak-envy
 cycles without changing anyone's utility, and the right rotation is what
 lets the component's total rent rise until budgets pin it. scc_max_rent
-finds that maximum per component; budget_aware_ef assembles the rotated
-global assignment and then treats the occupants' budgets as per-room rent
-caps; combined_solve intersects those caps with the instance's own rent
-bounds and dispatches the fairness objectives.
+finds that maximum per component, starting from the component's slice of
+the one global EF seed. combined_solve runs the whole pipeline once: seed,
+rotated assignment, the occupants' budgets intersected with the rent bounds
+into per-room ceilings, the arithmetic cap checks, one bounded repair from
+the seed, and the fairness objective.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .model import (
     check_envy_free,
     format_rat,
     has_finite_budgets,
-    is_finite,
     utilities,
     validate_instance,
 )
@@ -55,11 +55,14 @@ class ComponentSubproblem:
 
     agents/rooms hold the original indices (both sorted ascending); instance
     is re-indexed to 0..k-1 with total rent 0, no rent bounds, and the budget
-    matrix restricted to these agents and rooms."""
+    matrix restricted to these agents and rooms. seed is the global EF
+    seed's slice, re-indexed the same way, with its rents shifted
+    uniformly to total 0."""
 
     rooms: tuple
     agents: tuple
     instance: Instance
+    seed: Allocation
 
 
 def build_subproblem(inst: Instance, alloc: Allocation, rooms) -> ComponentSubproblem:
@@ -68,6 +71,10 @@ def build_subproblem(inst: Instance, alloc: Allocation, rooms) -> ComponentSubpr
     agents = tuple(sorted(occupant[x] for x in rooms))
     k = len(rooms)
     assert len(agents) == k
+    local_room = {x: i for i, x in enumerate(rooms)}
+    sigma = alloc.assignment.room_of_agent
+    rents = tuple(alloc.rents[x] for x in rooms)
+    mean = sum(rents, Fraction(0)) / k
     sub = Instance(
         n=k,
         valuations=tuple(tuple(inst.valuations[a][x] for x in rooms)
@@ -78,22 +85,29 @@ def build_subproblem(inst: Instance, alloc: Allocation, rooms) -> ComponentSubpr
         budgets=tuple(tuple(inst.budgets[a][x] for x in rooms)
                       for a in agents),
     )
-    return ComponentSubproblem(rooms=rooms, agents=agents, instance=sub)
+    seed = Allocation(
+        assignment=Assignment(tuple(local_room[sigma[a]] for a in agents)),
+        rents=tuple(r - mean for r in rents))
+    return ComponentSubproblem(rooms=rooms, agents=agents, instance=sub,
+                               seed=seed)
 
 
 def scc_max_rent(sub: ComponentSubproblem, trace: Optional[TraceLog] = None):
     """Maximum total rent the component can carry with EF + budgets.
 
     Returns (max_total, allocation); max_total is PosInf when every budget
-    that ever binds is infinite. Starting from an EF split of total 0, shift
-    everyone to the first budget-tight point, then alternate: rotate tight
-    occupants along budget-respecting envy cycles (utilities unchanged, tight
-    count strictly drops), and raise all rents uniformly until the next agent
-    goes tight. Stops when some tight agent sits on no such cycle."""
+    that ever binds is infinite. Starting from the component's seed slice
+    (its EF rents are unique up to a uniform shift, since every envy edge
+    inside the component lies on a tight cycle), shift everyone to the first
+    budget-tight point, then alternate: rotate tight occupants along
+    budget-respecting envy cycles (utilities unchanged, tight count strictly
+    drops), and raise all rents uniformly until the next agent goes tight.
+    Stops when some tight agent sits on no such cycle."""
     inst = sub.instance
     k = inst.n
     budgets = inst.budgets
-    alloc = initial_ef_allocation(inst)
+    alloc = sub.seed
+    assert check_envy_free(inst, alloc) == []
 
     sigma = alloc.assignment.room_of_agent
     headroom = max(alloc.rents[sigma[i]] - budgets[i][sigma[i]] for i in range(k))
@@ -166,65 +180,22 @@ def _cap_certificate(explanation, assignment, rents, caps, rooms):
         effective_lower=None, effective_upper=tuple(caps))
 
 
-def _occupant_caps(inst: Instance, assignment: Assignment):
-    occupant = assignment.agent_of_room()
-    return tuple(inst.budgets[occupant[j]][j] for j in range(inst.n))
-
-
-def budget_aware_ef(inst: Instance,
-                    trace: Optional[TraceLog] = None) -> SolveOutcome:
-    """EF allocation at the instance's total rent with every occupant within
-    budget, ignoring rent bounds (combined_solve layers those on top).
-
-    The assignment is re-matched per SCC toward maximum rent capacity; the
-    occupants' budgets then act as per-room upper bounds for the usual
-    bounded repair. The outcome carries objective "any"."""
-    n = inst.n
-    base = initial_ef_allocation(inst, trace=trace)
-
+def _budget_assignment(inst: Instance, seed: Allocation,
+                       trace: Optional[TraceLog]) -> Assignment:
+    """The seed's assignment, re-matched per SCC toward maximum rent
+    capacity when some budget is finite."""
     if not has_finite_budgets(inst):
-        mu = base.assignment
-    else:
-        graph = build_envy_graph(inst, base)
-        room_of_agent = [None] * n
-        for component in scc_partition(graph):
-            sub = build_subproblem(inst, base, component)
-            _, sub_alloc = scc_max_rent(sub, trace)
-            for a, x in enumerate(sub_alloc.assignment.room_of_agent):
-                room_of_agent[sub.agents[a]] = sub.rooms[x]
-        mu = Assignment(tuple(room_of_agent))
-        assert assignment_welfare(inst.valuations, mu) \
-            == assignment_welfare(inst.valuations, base.assignment)
-
-    start = Allocation(assignment=mu, rents=base.rents)
-    assert check_envy_free(inst, start) == []
-
-    caps = _occupant_caps(inst, mu)
-    cap_total = sum(caps)
-    if cap_total < inst.total_rent:
-        cert = _cap_certificate(
-            f"the occupants' budgets cap the total rent at "
-            f"{format_rat(cap_total)}, below the required "
-            f"{format_rat(inst.total_rent)}",
-            mu, start.rents, caps, tuple(range(n)))
-        return SolveOutcome(status=INFEASIBLE, objective="any",
-                            certificate=cert)
-
-    result = ef_rents_with_bounds(inst, mu, start.rents,
-                                  lower=(NEG_INF,) * n, upper=caps, trace=trace)
-    if not result.ok:
-        return SolveOutcome(status=INFEASIBLE, objective="any",
-                            certificate=result.certificate)
-    rents = result.rents
-
-    alloc = Allocation(assignment=mu, rents=rents)
-    util = utilities(inst, alloc)
-    occupant = mu.agent_of_room()
-    assert all(rents[j] <= inst.budgets[occupant[j]][j] for j in range(n))
-    assert check_envy_free(inst, alloc) == []
-    assert sum(rents, Fraction(0)) == inst.total_rent
-    return SolveOutcome(status=SOLVED, objective="any", allocation=alloc,
-                        utilities=util)
+        return seed.assignment
+    room_of_agent = [None] * inst.n
+    for component in scc_partition(build_envy_graph(inst, seed)):
+        sub = build_subproblem(inst, seed, component)
+        _, sub_alloc = scc_max_rent(sub, trace)
+        for a, x in enumerate(sub_alloc.assignment.room_of_agent):
+            room_of_agent[sub.agents[a]] = sub.rooms[x]
+    mu = Assignment(tuple(room_of_agent))
+    assert assignment_welfare(inst.valuations, mu) \
+        == assignment_welfare(inst.valuations, seed.assignment)
+    return mu
 
 
 def _dispatch(inst, assignment, rents, lower, upper, objective, trace):
@@ -253,10 +224,13 @@ def combined_solve(inst: Instance, objective: str = "any",
                    trace: Optional[TraceLog] = None) -> SolveOutcome:
     """Envy-free division under rent bounds and budgets together.
 
-    Budgets pick the assignment and contribute caps; the caps intersect the
-    instance's upper bounds into effective ceilings; the bounded repair and
-    the requested objective run inside that box. An objective outside
-    OBJECTIVES raises ValueError."""
+    One EF seed; budgets pick the assignment and contribute caps; the caps
+    intersect the instance's upper bounds into effective ceilings. The
+    arithmetic cap checks (a lower bound above its ceiling, then ceilings
+    that cannot carry the total) run before anything moves, so their
+    budget_cap_violation certificates win over the repair's envy-path ones.
+    One bounded repair from the seed and the requested objective then run
+    inside that box. An objective outside OBJECTIVES raises ValueError."""
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of "
                          f"{', '.join(OBJECTIVES)}")
@@ -267,13 +241,11 @@ def combined_solve(inst: Instance, objective: str = "any",
                             certificate=err.certificate)
     n = inst.n
 
-    budget_stage = budget_aware_ef(inst, trace)
-    if budget_stage.status == INFEASIBLE:
-        return SolveOutcome(status=INFEASIBLE, objective=objective,
-                            certificate=budget_stage.certificate)
-    mu = budget_stage.allocation.assignment
-    caps = _occupant_caps(inst, mu)
-    ceiling = tuple(min(u, c) for u, c in zip(inst.upper_bounds, caps))
+    seed = initial_ef_allocation(inst, trace=trace)
+    mu = _budget_assignment(inst, seed, trace)
+    occupant = mu.agent_of_room()
+    ceiling = tuple(min(inst.upper_bounds[j], inst.budgets[occupant[j]][j])
+                    for j in range(n))
 
     for j in range(n):
         if inst.lower_bounds[j] > ceiling[j]:
@@ -281,7 +253,7 @@ def combined_solve(inst: Instance, objective: str = "any",
                 f"room {j + 1} has lower bound "
                 f"{format_rat(inst.lower_bounds[j])} above its occupant's "
                 f"budget cap {format_rat(ceiling[j])}",
-                mu, budget_stage.allocation.rents, ceiling, (j,))
+                mu, seed.rents, ceiling, (j,))
             return SolveOutcome(status=INFEASIBLE, objective=objective,
                                 certificate=cert)
     if sum(ceiling) < inst.total_rent:
@@ -289,11 +261,11 @@ def combined_solve(inst: Instance, objective: str = "any",
             f"upper bounds and budget caps together cap the total rent at "
             f"{format_rat(sum(ceiling))}, below the required "
             f"{format_rat(inst.total_rent)}",
-            mu, budget_stage.allocation.rents, ceiling, tuple(range(n)))
+            mu, seed.rents, ceiling, tuple(range(n)))
         return SolveOutcome(status=INFEASIBLE, objective=objective,
                             certificate=cert)
 
-    result = ef_rents_with_bounds(inst, mu, budget_stage.allocation.rents,
+    result = ef_rents_with_bounds(inst, mu, seed.rents,
                                   lower=inst.lower_bounds, upper=ceiling,
                                   trace=trace)
     if not result.ok:

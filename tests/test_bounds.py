@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_fix_a, make_fix_ex, make_fix_tie
@@ -31,6 +30,17 @@ def occupant_utilities(inst, assignment, rents):
     return utilities(inst, Allocation(assignment, tuple(rents)))
 
 
+def seed_rents(inst, assignment):
+    return initial_ef_allocation(inst, assignment).rents
+
+
+def in_bounds_start(inst, assignment):
+    """The EF seed repaired into the instance's bounds."""
+    out = ef_rents_with_bounds(inst, assignment, seed_rents(inst, assignment))
+    assert out.ok
+    return out.rents
+
+
 def test_repair_into_bounds():
     inst = make_fix_a(lower_bounds=[0, 0], upper_bounds=[5, 5])
     out = ef_rents_with_bounds(inst, ID2, (Fraction(6), Fraction(2)))
@@ -40,7 +50,7 @@ def test_repair_into_bounds():
 
 def test_repair_detects_impossible_bounds():
     inst = make_fix_a(lower_bounds=[0, 3], upper_bounds=[0, 8])
-    out = ef_rents_with_bounds(inst, ID2)
+    out = ef_rents_with_bounds(inst, ID2, seed_rents(inst, ID2))
     assert not out.ok
     cert = out.certificate
     assert cert.kind == ENVY_PATH_VIOLATION
@@ -55,13 +65,6 @@ def test_repair_without_bounds_returns_input():
     out = ef_rents_with_bounds(make_fix_a(), ID2, (Fraction(6), Fraction(2)))
     assert out.ok
     assert out.rents == (6, 2)
-
-
-def test_repair_default_start():
-    inst = make_fix_a(lower_bounds=[0, 0], upper_bounds=[5, 5])
-    out = ef_rents_with_bounds(inst, ID2)
-    assert out.ok
-    assert out.rents == (4, 4)  # the uniform baseline already fits
 
 
 def test_maximin_equalizes_fix_a():
@@ -86,23 +89,27 @@ def test_maximin_pinned_room_floors_the_value():
 
 
 def test_leximin_fix_ex():
-    rents = leximin_rents(make_fix_ex(), ID4)
+    inst = make_fix_ex()
+    rents = leximin_rents(inst, ID4, in_bounds_start(inst, ID4))
     assert rents == (0, 2, 0, 2)
     util = occupant_utilities(make_fix_ex(), ID4, rents)
     assert util == (20, 17, 5, 0)
 
 
 def test_leximin_fix_a():
-    assert leximin_rents(make_fix_a(), ID2) == (6, 2)
+    inst = make_fix_a()
+    assert leximin_rents(inst, ID2, in_bounds_start(inst, ID2)) == (6, 2)
 
 
 def test_leximin_single_agent():
     inst = make_instance([[4]], 7)
-    assert leximin_rents(inst, Assignment((0,))) == (7,)
+    one = Assignment((0,))
+    assert leximin_rents(inst, one, in_bounds_start(inst, one)) == (7,)
 
 
 def test_minspread_fix_ex():
-    rents = minspread_rents(make_fix_ex(), ID4)
+    inst = make_fix_ex()
+    rents = minspread_rents(inst, ID4, in_bounds_start(inst, ID4))
     assert rents == (1, 0, 1, 2)
     util = occupant_utilities(make_fix_ex(), ID4, rents)
     assert util == (19, 19, 4, 0)
@@ -110,21 +117,23 @@ def test_minspread_fix_ex():
 
 
 def test_minspread_fix_a():
-    rents = minspread_rents(make_fix_a(), ID2)
+    inst = make_fix_a()
+    rents = minspread_rents(inst, ID2, in_bounds_start(inst, ID2))
     assert rents == (6, 2)
     util = occupant_utilities(make_fix_a(), ID2, rents)
     assert max(util) - min(util) == 0
 
 
 def test_minspread_fix_tie():
-    rents = minspread_rents(make_fix_tie(), ID2)
+    inst = make_fix_tie()
+    rents = minspread_rents(inst, ID2, in_bounds_start(inst, ID2))
     assert rents == (3, 3)
 
 
 def test_minspread_builds_one_engine(monkeypatch):
     # the maximin lift and the spread phase share one engine
     inst = make_fix_ex()
-    start = ef_rents_with_bounds(inst, ID4).rents
+    start = in_bounds_start(inst, ID4)
     built = []
     init = EventEngine.__init__
 
@@ -135,12 +144,6 @@ def test_minspread_builds_one_engine(monkeypatch):
     monkeypatch.setattr(EventEngine, "__init__", counting_init)
     assert minspread_rents(inst, ID4, start) == (1, 0, 1, 2)
     assert len(built) == 1
-
-
-def test_objectives_reject_impossible_bounds():
-    inst = make_fix_a(lower_bounds=[0, 3], upper_bounds=[0, 8])
-    with pytest.raises(AssertionError):
-        maximin_rents(inst, ID2)
 
 
 def test_objectives_record_phase_and_counter():
@@ -180,13 +183,13 @@ def test_objectives_match_oracle(case):
                          lower_bounds=[share - width] * n,
                          upper_bounds=[share + width] * n)
     sigma = oracle_solve(inst, "any")
-    repaired = ef_rents_with_bounds(inst,
-                                    initial_ef_allocation(inst).assignment)
+    seed = initial_ef_allocation(inst)
+    assignment = seed.assignment
+    repaired = ef_rents_with_bounds(inst, assignment, seed.rents)
     if sigma.status == "infeasible":
         assert not repaired.ok
         return
     assert repaired.ok
-    assignment = initial_ef_allocation(inst).assignment
 
     maximin = maximin_rents(inst, assignment, repaired.rents)
     assert min(occupant_utilities(inst, assignment, maximin)) \

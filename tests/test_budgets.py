@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIX_TIE_VALS, make_fix_a, make_fix_ex, make_fix_tie
+import rentdiv.budgets
 from rentdiv import (
     build_envy_graph,
+    check_certificate,
     check_constraints,
     check_envy_free,
     combined_solve,
-    budget_aware_ef,
     initial_ef_allocation,
     make_instance,
     oracle_solve,
@@ -27,8 +29,10 @@ from rentdiv.model import (
     BUDGET_CAP_VIOLATION,
     ENVY_PATH_VIOLATION,
     INFEASIBLE,
+    OBJECTIVES,
     POS_INF,
     SOLVED,
+    BoundSumError,
 )
 
 
@@ -72,7 +76,7 @@ def test_all_infinite_budgets_are_unbounded():
 
 def test_budget_aware_solves_inside_caps():
     inst = make_fix_a(budgets=[[6, 5], [5, 3]])
-    out = budget_aware_ef(inst)
+    out = combined_solve(inst, "any")
     assert out.status == SOLVED
     rents = out.allocation.rents
     assert 5 <= rents[0] <= 6
@@ -82,17 +86,42 @@ def test_budget_aware_solves_inside_caps():
 
 def test_budget_aware_detects_cap_shortfall():
     inst = make_fix_a(total_rent=10, budgets=[[6, 5], [5, 3]])
-    out = budget_aware_ef(inst)
+    out = combined_solve(inst, "any")
     assert out.status == INFEASIBLE
     assert out.certificate.kind == BUDGET_CAP_VIOLATION
     assert "9" in out.certificate.explanation
 
 
-def test_budget_aware_without_budgets_is_plain_ef():
-    inst = make_fix_a()
-    out = budget_aware_ef(inst)
-    assert out.status == SOLVED
-    assert out.allocation == initial_ef_allocation(inst)
+def test_seed_runs_once_per_solve(monkeypatch):
+    # components start from their slice of the global seed, not a re-seed
+    inst = make_instance([[10, 0, 0], [0, 10, 0], [0, 0, 10]], 6,
+                         budgets=[[50] * 3] * 3)
+    seed = initial_ef_allocation(inst)
+    assert len(scc_partition(build_envy_graph(inst, seed))) >= 3
+    calls = []
+    seed_fn = rentdiv.budgets.initial_ef_allocation
+
+    def counting_seed(*args, **kwargs):
+        calls.append(args)
+        return seed_fn(*args, **kwargs)
+
+    monkeypatch.setattr(rentdiv.budgets, "initial_ef_allocation",
+                        counting_seed)
+    assert combined_solve(inst, "any").status == SOLVED
+    assert len(calls) == 1
+
+
+def test_cap_check_precedes_the_repair():
+    # Room 1's lower bound sits above every occupant's budget for it: the
+    # arithmetic cap check names that room before any rent moves.
+    inst = make_instance([[1, 1], [1, 1]], 2, lower_bounds=[1, "-inf"],
+                         budgets=[[-1, "inf"], [-1, "inf"]])
+    out = combined_solve(inst, "any")
+    assert out.status == INFEASIBLE
+    assert out.certificate.kind == BUDGET_CAP_VIOLATION
+    assert out.certificate.witness_rooms == (0,)
+    assert check_certificate(inst, out.certificate) == []
+    assert oracle_solve(inst, "any").status == INFEASIBLE
 
 
 def test_combined_reproduces_leximin_example():
@@ -224,3 +253,51 @@ def test_infeasible_verdicts_confirmed_by_oracle(case):
     if mine.status == SOLVED:
         assert check_constraints(inst, mine.allocation).all_ok
         assert check_envy_free(inst, mine.allocation) == []
+
+
+def tie_heavy_instance(rng):
+    """Valuations 0..3 (ties everywhere), each bound and budget infinite or
+    small, budgets down to -1; about half the instances are feasible."""
+    n = rng.randint(2, 4)
+
+    def maybe(x, inf, p):
+        return inf if rng.random() < p else x
+
+    lower, upper = [], []
+    for _ in range(n):
+        lo = rng.randint(-1, 1)
+        lower.append(maybe(lo, "-inf", 0.6))
+        upper.append(maybe(lo + rng.randint(0, 3), "inf", 0.6))
+    return make_instance(
+        [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)],
+        rng.randint(0, 2 * n), lower_bounds=lower, upper_bounds=upper,
+        budgets=[[maybe(rng.randint(-1, 6), "inf", 0.5) for _ in range(n)]
+                 for _ in range(n)])
+
+
+def test_tie_heavy_corpus_matches_oracle():
+    rng = random.Random(20261020)
+    instances = []
+    while len(instances) < 200:
+        try:
+            instances.append(tie_heavy_instance(rng))
+        except BoundSumError:
+            continue
+    problems = []
+    feasible = 0
+    for k, inst in enumerate(instances):
+        for objective in OBJECTIVES:
+            mine = combined_solve(inst, objective)
+            theirs = oracle_solve(inst, objective)
+            if (mine.status, mine.objective_value) \
+                    != (theirs.status, theirs.objective_value):
+                problems.append(f"{k}/{objective}: {mine.status} "
+                                f"{mine.objective_value} vs oracle "
+                                f"{theirs.status} {theirs.objective_value}")
+            if mine.status == INFEASIBLE:
+                problems += [f"{k}/{objective}: {p}" for p in
+                             check_certificate(inst, mine.certificate)]
+            elif objective == "any":
+                feasible += 1
+    assert problems == []
+    assert 60 <= feasible <= 140, f"{feasible} of 200 feasible"
