@@ -183,11 +183,14 @@ def _cap_certificate(explanation, assignment, rents, caps, rooms):
 def _budget_assignment(inst: Instance, seed: Allocation,
                        trace: Optional[TraceLog]) -> Assignment:
     """The seed's assignment, re-matched per SCC toward maximum rent
-    capacity when some budget is finite."""
+    capacity when some budget is finite. A one-room component keeps its
+    occupant: it has no cycle to rotate along."""
     if not has_finite_budgets(inst):
         return seed.assignment
-    room_of_agent = [None] * inst.n
+    room_of_agent = list(seed.assignment.room_of_agent)
     for component in scc_partition(build_envy_graph(inst, seed)):
+        if len(component) == 1:
+            continue
         sub = build_subproblem(inst, seed, component)
         _, sub_alloc = scc_max_rent(sub, trace)
         for a, x in enumerate(sub_alloc.assignment.room_of_agent):
@@ -241,7 +244,7 @@ def combined_solve(inst: Instance, objective: str = "any",
                             certificate=err.certificate)
     n = inst.n
 
-    seed = initial_ef_allocation(inst, trace=trace)
+    seed = initial_ef_allocation(inst)
     mu = _budget_assignment(inst, seed, trace)
     occupant = mu.agent_of_room()
     ceiling = tuple(min(inst.upper_bounds[j], inst.budgets[occupant[j]][j])

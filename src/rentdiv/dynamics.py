@@ -6,9 +6,9 @@ edge (an EF slack reaching zero), a rent hitting a watched bound, or two
 occupant utilities merging. Event times are exact rationals.
 
 EventEngine.step is the one motion primitive: the conserving plan for a
-pair of room sets, the event scan, and the exact move to the event. The EF
-seed, the bound repair and the objectives differ only in the sets, the
-watched bounds and the tracked merges they pass it.
+pair of room sets, the event scan, and the exact move to the event. The
+bound repair and the objectives differ only in the sets, the watched bounds
+and the tracked merges they pass it.
 
 The engine works on integers only. A RentState holds the rents as integer
 numerators over one common denominator D, kept reduced (gcd(D, *num) == 1,
@@ -21,8 +21,7 @@ time is a Fraction; RentState.rents builds the Fraction view where a caller
 needs it (returned rents, bound tests, trace snapshots).
 
 The scan doubles as the per-event invariant check: a non-conserving plan, a
-negative EF slack (unless the caller is still removing envy) or a weak edge
-about to turn strong trips an assertion.
+negative EF slack or a weak edge about to turn strong trips an assertion.
 """
 
 from __future__ import annotations
@@ -201,14 +200,14 @@ class EventEngine:
         strong.sort()
         return succ, pred, strong
 
-    def scan(self, state: RentState, plan: RatePlan, lower, upper, merge_rooms,
-             assert_ef: bool = True) -> Event:
+    def scan(self, state: RentState, plan: RatePlan, lower, upper,
+             merge_rooms) -> Event:
         """Earliest event for the plan from these rents, or an UNBOUNDED one.
 
         lower/upper are the watched bounds (None watches none). merge_rooms
         is "all" (any converging occupant utilities), a frozenset (merges
-        against that tracked class only), or None (merges off). assert_ef
-        hard-checks EF slack nonnegativity."""
+        against that tracked class only), or None (merges off). The rents
+        must be envy-free: a negative EF slack trips an assertion."""
         n, dv, sigma = self.n, self.dv, self.sigma
         d, rnum = state.den, state.num
         cnum = plan.num
@@ -226,12 +225,8 @@ class EventEngine:
                 if s > 0:
                     if cx > cj:
                         candidates.append((s, cx - cj, (NEW_WEAK_EDGE, i, j)))
-                elif s < 0:
-                    assert not assert_ef, \
-                        f"EF violated: agent {i} envies room {j}"
-                    if cj > cx:
-                        candidates.append((-s, cj - cx, (NEW_WEAK_EDGE, i, j)))
                 else:
+                    assert s == 0, f"EF violated: agent {i} envies room {j}"
                     # existing weak edge must not turn strong at t=0+
                     assert cj >= cx or j == x, \
                         f"weak edge ({x}->{j}) would turn strong immediately"
@@ -290,7 +285,7 @@ class EventEngine:
                      kinds=tuple(kinds))
 
     def step(self, state: RentState, s_inc, s_dec, unit, lower, upper,
-             merge_rooms, assert_ef: bool = True):
+             merge_rooms):
         """Move rents along conserving_plan(s_inc, s_dec, unit) to the
         earliest event and return (event, new_state).
 
@@ -298,6 +293,6 @@ class EventEngine:
         (its set choice guarantees some event ahead), so an unbounded ray is
         an internal error."""
         plan = conserving_plan(self.n, s_inc, s_dec, unit)
-        event = self.scan(state, plan, lower, upper, merge_rooms, assert_ef)
+        event = self.scan(state, plan, lower, upper, merge_rooms)
         assert event.time is not None, "rent motion ray cannot be unbounded"
         return event, state.moved(plan, event.time)

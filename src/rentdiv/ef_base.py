@@ -1,21 +1,22 @@
-"""Initial envy-free allocation, from scratch.
+"""Initial envy-free allocation, from scratch: the assignment LP's prices.
 
-Start from a max-welfare assignment and uniform rents, then repeatedly pick
-the lexicographically smallest strong-envy edge (from_room, to_room) and run
-a phase: everything that can reach from_room pays less, everything reachable
-from to_room pays more, until the chosen edge weakens. Strong edges are never
-created by this motion (rooms on existing weak edges either share a rate or
-drift apart), so each phase retires at least one strong edge for good.
+The assignment LP max sum_i v_{i,sigma(i)} has the dual min sum(u) + sum(p)
+subject to u_i + p_j >= v_ij. Any optimal p, read as rents, is envy-free for
+every welfare-maximizing assignment (Shapley & Shubik 1971; Alkan, Demange &
+Gale 1991): complementary slackness makes each agent's own room tight,
+u_i = v_{i,sigma(i)} - p_{sigma(i)}, and dual feasibility caps its utility
+for every other room at u_i.
 
-A strong cycle would make the phase ill-posed, but a max-welfare assignment
-never produces one: rotating agents along a strong cycle would beat the
-maximum welfare. Asserted, not handled.
+So the seed is one plain Hungarian run (no tie-break term) on the valuations
+scaled to integers by their common denominator dv: its column potentials v
+give rents r_j = -v_j / dv, and one uniform shift by (total - sum r) / n then
+splits exactly the total without changing anyone's envy. The rents share a
+denominator dividing n * dv * den(total). No rent moves step by step, so the
+seed records no trace events.
 
-The whole loop runs on one integer RentState (numerators over a common
-denominator, see dynamics): each event costs one pass over the EF slacks,
-shared by the adjacency and the scan, and an exact integer move. Fraction
-rents are built only for the returned allocation and, when a TraceLog is
-passed, for each event's snapshot.
+The same run yields the optimal welfare, which decides whether a caller's
+assignment maximizes welfare; for any other assignment no rents are
+envy-free, and the seed raises ValueError.
 """
 
 from __future__ import annotations
@@ -23,53 +24,37 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .dynamics import EventEngine, RentState, TraceLog
-from .envy import _closure
-from .matching import max_welfare_assignment
+from .dynamics import RentState
+from .matching import _hungarian_min_cost, _scaled_int_matrix, max_welfare_assignment
 from .model import Allocation, Assignment, Instance, check_envy_free
 
 
-def initial_ef_allocation(inst: Instance, assignment: Optional[Assignment] = None,
-                          trace: Optional[TraceLog] = None) -> Allocation:
+def initial_ef_allocation(inst: Instance,
+                          assignment: Optional[Assignment] = None) -> Allocation:
     """An envy-free allocation splitting exactly inst.total_rent.
 
     Bounds and budgets are ignored here; this is the seed the constrained
-    solvers start from."""
+    solvers start from. The rents do not depend on which welfare-maximizing
+    assignment is passed (default: max_welfare_assignment); an assignment
+    that does not maximize welfare raises ValueError."""
     if assignment is None:
         assignment = max_welfare_assignment(inst.valuations)
     n = inst.n
-    state = RentState.of([Fraction(inst.total_rent, n)] * n)
-    engine = EventEngine(inst, assignment)
-    succ, pred, strong = engine.weak_strong_adjacency(state)
+    weights, dv = _scaled_int_matrix(inst.valuations)
+    optimum, v = _hungarian_min_cost([[-w for w in row] for row in weights])
+    # The optimum's weight is -(sum(u) + sum(v)), the dual objective: every
+    # matched pair is tight.
+    best = sum(weights[i][x] for i, x in enumerate(optimum))
+    if sum(weights[i][x] for i, x in enumerate(assignment.room_of_agent)) != best:
+        raise ValueError(f"assignment {assignment.room_of_agent} does not "
+                         f"maximize welfare, so no rents make it envy-free")
 
-    phases = 0
-    total_events = 0
-    while strong:
-        phases += 1
-        assert phases <= n * n + 1, "more phases than strong edges can fund"
-        from_room, to_room = strong[0]
-        phase_events = 0
-        while (from_room, to_room) in strong:
-            s_dec = _closure(n, pred, {from_room})
-            s_inc = _closure(n, succ, {to_room})
-            assert not (s_dec & s_inc), \
-                "strong envy cycle under a max-welfare assignment"
-            event, state = engine.step(state, s_inc, s_dec, "dec", None, None,
-                                       None, assert_ef=False)
-            phase_events += 1
-            total_events += 1
-            assert phase_events <= n * n + 2 * n + 4, "phase does not settle"
-            assert total_events <= n ** 3 + 8 * n * n + 8, "run does not settle"
-            if trace is not None:
-                trace.record("initial_ef", event.time, event.kinds,
-                             {"dec": len(s_dec), "inc": len(s_inc)},
-                             rents=state.rents, assignment=assignment)
-                trace.bump("initial_ef_events")
-            succ, pred, strong = engine.weak_strong_adjacency(state)
-
-    rents = state.rents
-    alloc = Allocation(assignment=assignment, rents=rents)
-    assert sum(rents, Fraction(0)) == inst.total_rent
+    # r_j = -v_j / dv + (total + sum(v) / dv) / n, over n * dv * den(total)
+    a, b = inst.total_rent.numerator, inst.total_rent.denominator
+    shift = a * dv + b * sum(v)
+    state = RentState([shift - b * n * vj for vj in v], n * b * dv)
+    alloc = Allocation(assignment=assignment, rents=state.rents)
+    assert sum(alloc.rents, Fraction(0)) == inst.total_rent
     assert check_envy_free(inst, alloc) == []
     return alloc
 

@@ -39,15 +39,6 @@ class EnvyGraph:
             out[b].append(a)
         return out
 
-    def to_dot(self) -> str:
-        lines = ["digraph envy {"]
-        for v in range(self.n):
-            lines.append(f'  r{v + 1} [label="room {v + 1}"];')
-        for a, b, s in self.edges:
-            lines.append(f'  r{a + 1} -> r{b + 1} [label="{"S" if s == STRONG else "W"}"];')
-        lines.append("}")
-        return "\n".join(lines)
-
 
 def build_envy_graph(inst: Instance, alloc: Allocation) -> EnvyGraph:
     """Plain envy graph: edge (sigma(i), j) iff u_i <= v_ij - r_j, i != j."""

@@ -29,16 +29,22 @@ def assignment_welfare(valuations, assignment: Assignment) -> Fraction:
 
 
 def _scaled_int_matrix(valuations):
+    """(weights, denom): the valuations times their common denominator
+    denom, as integers."""
     rows = [[rat(v) for v in row] for row in valuations]
     denom = lcm(*[v.denominator for row in rows for v in row]) if rows else 1
-    return [[int(v * denom) for v in row] for row in rows]
+    return [[v.numerator * (denom // v.denominator) for v in row]
+            for row in rows], denom
 
 
 def _hungarian_min_cost(cost):
     """Classic O(n^3) potential-based assignment on an integer cost matrix.
 
-    Returns room_of_agent minimizing the total cost. Indexing follows the
-    usual 1-based formulation internally.
+    Returns (room_of_agent, column potentials): room_of_agent minimizes the
+    total cost, and the potentials v (one per room) with the row potentials
+    u satisfy u_i + v_j <= cost[i][j], tight on every matched pair, so
+    sum(u) + sum(v) is the minimum cost. Indexing follows the usual 1-based
+    formulation internally.
     """
     n = len(cost)
     INF = None  # sentinel: treated as +infinity in comparisons below
@@ -82,7 +88,7 @@ def _hungarian_min_cost(cost):
     room_of_agent = [0] * n
     for j in range(1, n + 1):
         room_of_agent[p[j] - 1] = j - 1
-    return room_of_agent
+    return room_of_agent, v[1:]
 
 
 def max_welfare_assignment(valuations) -> Assignment:
@@ -96,20 +102,20 @@ def max_welfare_assignment(valuations) -> Assignment:
     n = len(valuations)
     if n == 0:
         raise SizeError("empty instance")
-    weights = _scaled_int_matrix(valuations)
+    weights, _ = _scaled_int_matrix(valuations)
     base = n + 1
     # lex term for agent i choosing room j: j * base^(n-1-i), all < base^n
     scale = base ** n
     cost = [[-weights[i][j] * scale + j * base ** (n - 1 - i) for j in range(n)]
             for i in range(n)]
-    return Assignment(tuple(_hungarian_min_cost(cost)))
+    room_of_agent, _ = _hungarian_min_cost(cost)
+    return Assignment(tuple(room_of_agent))
 
 
-def all_max_welfare_assignments(valuations, cap: int | None = None) -> list:
+def all_max_welfare_assignments(valuations) -> list:
     """Every welfare-maximizing assignment, lexicographically sorted.
 
     Enumerates all n! permutations, so n is gated at ENUMERATION_LIMIT.
-    cap truncates the (sorted) list; the list is complete up to cap.
     """
     n = len(valuations)
     if n > ENUMERATION_LIMIT:
@@ -125,6 +131,4 @@ def all_max_welfare_assignments(valuations, cap: int | None = None) -> list:
         elif welfare == best:
             out.append(perm)
     out.sort()
-    if cap is not None:
-        out = out[:cap]
     return [Assignment(perm) for perm in out]

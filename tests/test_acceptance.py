@@ -186,9 +186,6 @@ def test_acceptance_3_event_invariants(corpus_results):
                 if rents is None or sum(rents, Fraction(0)) != inst.total_rent:
                     problems.append(f"{tag}: event total != instance total")
                     continue
-                if ev["phase"] == "initial_ef":
-                    prev = None
-                    continue
                 alloc = Allocation(assignment=ev["assignment"],
                                    rents=tuple(rents))
                 if check_envy_free(inst, alloc):
@@ -240,7 +237,7 @@ def test_acceptance_3_event_invariants(corpus_results):
 def test_acceptance_4_scc_partition_invariance():
     problems = []
     rng = random.Random(240815)
-    tie_cases = 0
+    tie_cases = distinct = 0
     for case in range(200):
         n = rng.randint(2, 6)
         vals = [[Fraction(rng.randint(0, 6)) for _ in range(n)]
@@ -253,16 +250,24 @@ def test_acceptance_4_scc_partition_invariance():
         optima = all_max_welfare_assignments(inst_a.valuations)
         if len(optima) > 1:
             tie_cases += 1
-        second = initial_ef_allocation(inst_b, optima[-1])
+        # the seeds for two totals differ by a uniform shift only, so the
+        # second point is inst_b's maximin optimum, read under another optimum
+        rents_b = combined_solve(inst_b, "maximin").allocation.rents
+        second = Allocation(assignment=optima[-1], rents=rents_b)
+        if len({b - a for a, b in zip(first.rents, rents_b)}) > 1:
+            distinct += 1
         parts_a = set(scc_partition(build_envy_graph(inst_a, first)))
         parts_b = set(scc_partition(build_envy_graph(inst_b, second)))
         if parts_a != parts_b:
             problems.append(
                 f"case {case}: {sorted(map(sorted, parts_a))} != "
                 f"{sorted(map(sorted, parts_b))}")
+    if distinct == 0:
+        problems.append("every second point is a shift of the first")
     _report(4, "component partition invariance", problems,
             f"200 instances, two allocations each (different totals, "
-            f"{tie_cases} with tie-broken matchings), partitions equal")
+            f"{tie_cases} with tie-broken matchings, {distinct} not a "
+            f"uniform shift), partitions equal")
 
 
 def test_acceptance_5_certificates(corpus_results):

@@ -344,24 +344,21 @@ def test_trace_flag_appends_event_log(tmp_path, capsys):
     counters = result["trace_counters"]
     assert counters["maximin_events"] == len(result["trace"])
 
-    # every event's state is in the output: recheck the total after each,
-    # EF once the seed has removed all envy, and the bounds outside repair
+    # every event's state is in the output: recheck the total and EF after
+    # each, and the bounds outside repair
     path = write(tmp_path, TRACE_DOC, name="trace.json")
     code, out, _ = run(capsys, "solve", path, "--objective", "leximin",
                        "--trace")
     assert code == 0
     trace = json.loads(out)["trace"]
     phases = [entry["phase"] for entry in trace]
-    assert phases == ["initial_ef"] * 3 + ["bounds"] + ["leximin"] * 2
+    assert phases == ["bounds", "leximin", "leximin"]
     value = {(agent, room): Fraction(v)
              for agent, row in zip(TRACE_DOC["agents"], TRACE_DOC["valuations"])
              for room, v in zip(TRACE_DOC["rooms"], row)}
-    for k, entry in enumerate(trace):
+    for entry in trace:
         rents = {room: _exact(m) for room, m in entry["rents"].items()}
         assert sum(rents.values()) == 9
-        if entry["phase"] == "initial_ef" and phases[k + 1] == "initial_ef":
-            assert entry["lower"] is None and entry["upper"] is None
-            continue
         for agent, own in entry["assignment"].items():
             mine = value[agent, own] - rents[own]
             assert all(mine >= value[agent, room] - rents[room]

@@ -12,6 +12,7 @@ from rentdiv.dynamics import (
     NEW_WEAK_EDGE,
     UNBOUNDED,
     UPPER,
+    Event,
     EventEngine,
     RatePlan,
     RentState,
@@ -63,6 +64,12 @@ def test_simultaneous_kinds_reported_together():
 def test_plan_must_conserve_total():
     with pytest.raises(AssertionError):
         scan(make_fix_a(), RatePlan((1, 1)))
+
+
+def test_scan_rejects_envious_rents():
+    # at (9, -1) agent 0 gets 1 from its own room and 3 from room 1
+    with pytest.raises(AssertionError, match="EF violated"):
+        scan(make_fix_a(), SEESAW, rents=(Fraction(9), Fraction(-1)))
 
 
 def test_existing_weak_edge_may_not_turn_strong():
@@ -118,13 +125,18 @@ def test_advance_zero_is_identity():
     assert rents[:2] == (start[0] + event.time, start[1] - event.time)
 
 
-def test_step_rejects_unbounded_ray():
-    # agent 0 already envies room 1 and moving only deepens that envy, so
-    # with bounds and merges unwatched no event ever comes
+def test_step_rejects_unbounded_ray(monkeypatch):
+    # From EF rents no conserving motion is unbounded: the occupant of a
+    # room that pays more loses slack toward every room that pays less, so a
+    # weak edge comes (here at t = 3, bounds and merges unwatched). Only a
+    # faulty scan can report an unbounded ray, and step must refuse it.
     engine = EventEngine(make_fix_a(), ID2)
+    state = RentState.of(START)
+    assert engine.scan(state, SEESAW, None, None, None).time == 3
+    monkeypatch.setattr(engine, "scan",
+                        lambda *args: Event(time=None, kinds=((UNBOUNDED,),)))
     with pytest.raises(AssertionError, match="unbounded"):
-        engine.step(RentState.of((Fraction(9), Fraction(-1))), {0}, {1},
-                    "inc", None, None, None, assert_ef=False)
+        engine.step(state, {0}, {1}, "inc", None, None, None)
 
 
 small_cases = st.integers(min_value=2, max_value=5).flatmap(

@@ -1,10 +1,19 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import lcm
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_fix_a, make_fix_tie
 from rentdiv import (
+    Allocation,
+    Assignment,
+    all_max_welfare_assignments,
     build_envy_graph,
     check_envy_free,
     initial_ef_allocation,
@@ -12,7 +21,6 @@ from rentdiv import (
     max_welfare_assignment,
     utilities,
 )
-from rentdiv.dynamics import TraceLog
 from rentdiv.ef_base import shift_rents
 
 
@@ -34,8 +42,8 @@ def test_single_agent_gets_whole_total():
 
 
 def test_repair_eliminates_strong_envy():
-    # uniform rents (2, 2) leave agent 2 envying room 1 by 8; the repair
-    # must slide rents until that gap closes at r = (6, -2)
+    # uniform rents (2, 2) would leave agent 2 envying room 1 by 8; the
+    # seed prices room 1 exactly 8 above room 2, at r = (6, -2)
     inst = make_instance([[10, 0], [8, 0]], 4)
     out = initial_ef_allocation(inst)
     assert out.assignment.room_of_agent == (0, 1)
@@ -112,58 +120,84 @@ def _tie_heavy(seed, n):
     return make_instance(vals, rng.randint(0, 4 * n))
 
 
-# The seed's whole trajectory on three fixed instances: final rents, event
-# count and every event time. Any change to the seed's path shows here.
+# The seed's rents on three fixed instances: a cents-valued n=8 instance and
+# two tie-heavy ones. Any change to the seed's prices shows here.
 GOLDEN_SEEDS = [
     (_spliddit_style(8, 8),
-     ("97474691/1350", "388463593/4500", "84518812/1125", "940058317/13500",
-      "78474187/1125", "111561941/1350", "288136093/4500",
-      "889460317/13500"),
-     ("7451/5", "14844/25", "8031/25", "2839/5", "97", "1743/10", "12936/25",
-      "761/2", "6847/50", "97", "8709/250", "879", "194983/375",
-      "475466/1125", "800", "1023337/2250", "10335481/4500", "1089/25",
-      "463157/2250", "2024423/2250", "3559/100", "18775369/13500",
-      "4421593/13500")),
+     ("573743/8", "704183/8", "592591/8", "555807/8", "549607/8", "657223/8",
+      "525823/8", "525823/8")),
     (_tie_heavy(35, 7),
-     ("-17/63", "47/42", "59/84", "-85/168", "83/168", "46/63", "-17/63"),
-     ("1/3", "2/9", "1/6", "7/18", "1/36", "5/24")),
+     ("-2/7", "5/7", "5/7", "-2/7", "5/7", "5/7", "-2/7")),
     (_tie_heavy(31, 8),
-     ("265/392", "265/392", "71/56", "265/392", "-127/392", "265/392",
-      "-127/392", "657/392"),
-     ("1/7", "3/7", "3/14", "3/14", "37/98")),
+     ("3/4", "3/4", "3/4", "3/4", "-1/4", "3/4", "-1/4", "7/4")),
 ]
 
 
+def _denominator_cap(inst):
+    """n * dv * den(total): every seed rent's denominator divides it."""
+    dv = lcm(*[v.denominator for row in inst.valuations for v in row])
+    return inst.n * dv * inst.total_rent.denominator
+
+
 def test_seed_trajectory_is_pinned():
-    for inst, rents, times in GOLDEN_SEEDS:
-        trace = TraceLog()
-        out = initial_ef_allocation(inst, trace=trace)
+    for inst, rents in GOLDEN_SEEDS:
+        out = initial_ef_allocation(inst)
         assert out.rents == tuple(Fraction(r) for r in rents)
-        assert trace.counters["initial_ef_events"] == len(times)
-        assert tuple(str(ev["time"]) for ev in trace.events) == times
-        assert {ev["phase"] for ev in trace.events} == {"initial_ef"}
+        assert all(_denominator_cap(inst) % r.denominator == 0
+                   for r in out.rents)
 
 
-tie_heavy_instances = st.integers(min_value=1, max_value=8).flatmap(
-    lambda n: st.tuples(
-        st.lists(st.lists(st.integers(min_value=0, max_value=3),
-                          min_size=n, max_size=n),
-                 min_size=n, max_size=n),
-        st.fractions(min_value=-10, max_value=30, max_denominator=3)))
+SWAP_SCRIPT = """
+from rentdiv import Assignment, initial_ef_allocation, make_instance
+assert not __debug__, "must run under python -O"
+try:
+    initial_ef_allocation(make_instance([[10, 2], [4, 6]], 8),
+                          Assignment((1, 0)))
+except ValueError:
+    pass
+else:
+    raise SystemExit("a swap below max welfare was seeded under -O")
+"""
+
+
+def test_seed_rejects_assignment_below_max_welfare():
+    # fix_a's optimum is the identity (welfare 16); the swap reaches 6
+    inst = make_fix_a()
+    with pytest.raises(ValueError, match="maximize welfare"):
+        initial_ef_allocation(inst, Assignment((1, 0)))
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", SWAP_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+def tie_heavy_instances(max_n):
+    return st.integers(min_value=1, max_value=max_n).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(min_value=0, max_value=3),
+                              min_size=n, max_size=n),
+                     min_size=n, max_size=n),
+            st.fractions(min_value=-10, max_value=30, max_denominator=3)))
 
 
 @settings(max_examples=150, deadline=None)
-@given(tie_heavy_instances)
+@given(tie_heavy_instances(8))
 def test_tie_heavy_seed_is_envy_free_within_caps(case):
     vals, total = case
     inst = make_instance(vals, total)
-    n = inst.n
-    trace = TraceLog()
-    out = initial_ef_allocation(inst, trace=trace)
+    out = initial_ef_allocation(inst)
     assert check_envy_free(inst, out) == []
     assert sum(out.rents, Fraction(0)) == total
-    events = trace.counters.get("initial_ef_events", 0)
-    assert events == len(trace.events)
-    assert events <= n ** 3 + 8 * n * n + 8
-    for ev in trace.events:
-        assert sum(ev["rents"], Fraction(0)) == total
+    assert all(_denominator_cap(inst) % r.denominator == 0 for r in out.rents)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tie_heavy_instances(6))
+def test_seed_is_envy_free_for_every_optimum(case):
+    vals, total = case
+    inst = make_instance(vals, total)
+    rents = initial_ef_allocation(inst).rents
+    for optimum in all_max_welfare_assignments(inst.valuations):
+        assert check_envy_free(inst, Allocation(optimum, rents)) == []

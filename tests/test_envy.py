@@ -112,14 +112,6 @@ def test_find_cycle():
     assert find_cycle_through(one_way, 1) is None
 
 
-def test_to_dot_labels():
-    dot = tie_graph().to_dot()
-    assert "digraph" in dot
-    assert '[label="W"]' in dot
-    strong = build_envy_graph(make_fix_a(), alloc([0, 1], [0, 8])).to_dot()
-    assert '[label="S"]' in strong
-
-
 small_instances = st.integers(min_value=2, max_value=5).flatmap(
     lambda n: st.tuples(
         st.lists(

@@ -55,11 +55,6 @@ def test_all_optima_fix_ex():
     assert [a.room_of_agent for a in out] == [(0, 1, 2, 3), (2, 1, 0, 3)]
 
 
-def test_all_optima_respects_cap():
-    out = all_max_welfare_assignments(F(FIX_TIE_VALS), cap=1)
-    assert len(out) == 1
-
-
 def test_enumeration_size_gate():
     vals = [[Fraction(1)] * 9 for _ in range(9)]
     with pytest.raises(SizeError):
