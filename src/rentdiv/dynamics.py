@@ -31,6 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
+from .matching import _scaled_int_matrix
 from .model import Instance, is_finite
 
 NEW_WEAK_EDGE = "new_weak_edge"
@@ -155,10 +156,7 @@ class EventEngine:
         self.agent_of_room = [0] * self.n
         for i, x in enumerate(self.sigma):
             self.agent_of_room[x] = i
-        denoms = [v.denominator for row in inst.valuations for v in row]
-        dv = self.dv = lcm(*denoms) if denoms else 1
-        vnum = [[v.numerator * (dv // v.denominator) for v in row]
-                for row in inst.valuations]
+        vnum, self.dv = _scaled_int_matrix(inst.valuations)
         # diff[i][j] = (v_{i,sigma(i)} - v_ij) * dv
         self.diff = [[vnum[i][self.sigma[i]] - vnum[i][j] for j in range(self.n)]
                      for i in range(self.n)]

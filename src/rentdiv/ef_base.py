@@ -7,10 +7,11 @@ Gale 1991): complementary slackness makes each agent's own room tight,
 u_i = v_{i,sigma(i)} - p_{sigma(i)}, and dual feasibility caps its utility
 for every other room at u_i.
 
-So the seed is one plain Hungarian run (no tie-break term) on the valuations
-scaled to integers by their common denominator dv: its column potentials v
-give rents r_j = -v_j / dv, and one uniform shift by (total - sum r) / n then
-splits exactly the total without changing anyone's envy. The rents share a
+So the seed is one plain Hungarian run on the valuations scaled to integers
+by their common denominator dv, the same run that gives the canonical
+assignment (matching._max_welfare): its column potentials v give rents
+r_j = -v_j / dv, and one uniform shift by (total - sum r) / n then splits
+exactly the total without changing anyone's envy. The rents share a
 denominator dividing n * dv * den(total). No rent moves step by step, so the
 seed records no trace events.
 
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .dynamics import RentState
-from .matching import _hungarian_min_cost, _scaled_int_matrix, max_welfare_assignment
+from .matching import _max_welfare
 from .model import Allocation, Assignment, Instance, check_envy_free
 
 
@@ -37,11 +38,9 @@ def initial_ef_allocation(inst: Instance,
     solvers start from. The rents do not depend on which welfare-maximizing
     assignment is passed (default: max_welfare_assignment); an assignment
     that does not maximize welfare raises ValueError."""
-    if assignment is None:
-        assignment = max_welfare_assignment(inst.valuations)
     n = inst.n
-    weights, dv = _scaled_int_matrix(inst.valuations)
-    optimum, v = _hungarian_min_cost([[-w for w in row] for row in weights])
+    weights, dv, v, optimum = _max_welfare(inst.valuations)
+    assignment = assignment or Assignment(optimum)
     # The optimum's weight is -(sum(u) + sum(v)), the dual objective: every
     # matched pair is tight.
     best = sum(weights[i][x] for i, x in enumerate(optimum))

@@ -3,9 +3,8 @@
 
 Vertices are room indices. An edge x -> y means the occupant of room x weakly
 envies room y (equal utility = weak, strictly better = strong); the
-budget-aware flavor additionally requires strict budget slack at y. Graphs are
-rebuilt from scratch after every event: n stays small and stale edges are a
-far worse failure mode than the rebuild cost.
+budget-aware one also requires strict budget slack at y. Both are read off the
+integer slacks of model.ef_slacks.
 """
 
 from __future__ import annotations
@@ -13,19 +12,16 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .model import Allocation, Instance
+from .model import Allocation, Instance, ef_slacks, is_finite
 
 WEAK = "weak"
 STRONG = "strong"
-PLAIN = "plain"
-BUDGET_AWARE = "budget_aware"
 
 
 @dataclass(frozen=True)
 class EnvyGraph:
     n: int
     edges: tuple  # (from_room, to_room, strength), sorted by (from, to)
-    flavor: str
 
     def successors(self):
         out = [[] for _ in range(self.n)]
@@ -42,43 +38,30 @@ class EnvyGraph:
 
 def build_envy_graph(inst: Instance, alloc: Allocation) -> EnvyGraph:
     """Plain envy graph: edge (sigma(i), j) iff u_i <= v_ij - r_j, i != j."""
-    sigma = alloc.assignment.room_of_agent
-    edges = []
-    for i in range(inst.n):
-        x = sigma[i]
-        own = inst.valuations[i][x] - alloc.rents[x]
-        for j in range(inst.n):
-            if j == x:
-                continue
-            other = inst.valuations[i][j] - alloc.rents[j]
-            if own < other:
-                edges.append((x, j, STRONG))
-            elif own == other:
-                edges.append((x, j, WEAK))
-    edges.sort()
-    return EnvyGraph(n=inst.n, edges=tuple(edges), flavor=PLAIN)
+    return EnvyGraph(inst.n, _envy_edges(inst, alloc, None))
 
 
 def build_budget_graph(inst: Instance, alloc: Allocation) -> EnvyGraph:
     """Budget-aware envy graph: weak envy plus strict budget slack r_j < b_ij,
     i.e. the occupant of x could move to room j without paying over budget."""
-    sigma = alloc.assignment.room_of_agent
+    return EnvyGraph(inst.n, _envy_edges(inst, alloc, inst.budgets))
+
+
+def _envy_edges(inst, alloc, budgets) -> tuple:
+    """Envy edges from the integer EF slacks, sorted by (from, to); given a
+    budget matrix, only toward rooms priced below the mover's budget."""
+    slack, _ = ef_slacks(inst, alloc)
     edges = []
-    for i in range(inst.n):
-        x = sigma[i]
-        own = inst.valuations[i][x] - alloc.rents[x]
-        for j in range(inst.n):
-            if j == x:
+    for x, i in enumerate(alloc.assignment.agent_of_room()):
+        for j, s in enumerate(slack[i]):
+            if s > 0 or j == x:
                 continue
-            if alloc.rents[j] >= inst.budgets[i][j]:
-                continue
-            other = inst.valuations[i][j] - alloc.rents[j]
-            if own < other:
-                edges.append((x, j, STRONG))
-            elif own == other:
-                edges.append((x, j, WEAK))
-    edges.sort()
-    return EnvyGraph(n=inst.n, edges=tuple(edges), flavor=BUDGET_AWARE)
+            if budgets is not None and is_finite(b := budgets[i][j]):
+                r = alloc.rents[j]
+                if r.numerator * b.denominator >= b.numerator * r.denominator:
+                    continue
+            edges.append((x, j, STRONG if s < 0 else WEAK))
+    return tuple(edges)
 
 
 def _closure(n, adjacency, start) -> frozenset:

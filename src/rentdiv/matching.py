@@ -2,8 +2,10 @@
 
 The matching is the entry point of the whole pipeline: envy-free rents exist
 for an assignment iff it maximizes total valuation, so every solver fixes one
-welfare-maximizing assignment up front. Everything here is integer-exact; the
-rational valuations are scaled by their common denominator once.
+welfare-maximizing assignment up front. One plain Hungarian run on the
+valuations scaled to integers by their common denominator gives the optima as
+the perfect matchings of its duals' tight graph (Shapley & Shubik 1971), and
+the lexicographic tie-break is read off that graph.
 """
 
 from __future__ import annotations
@@ -29,12 +31,11 @@ def assignment_welfare(valuations, assignment: Assignment) -> Fraction:
 
 
 def _scaled_int_matrix(valuations):
-    """(weights, denom): the valuations times their common denominator
-    denom, as integers."""
-    rows = [[rat(v) for v in row] for row in valuations]
-    denom = lcm(*[v.denominator for row in rows for v in row]) if rows else 1
+    """(weights, denom): the exact valuations (Fractions or ints) times their
+    common denominator denom, as integers."""
+    denom = lcm(*[v.denominator for row in valuations for v in row])
     return [[v.numerator * (denom // v.denominator) for v in row]
-            for row in rows], denom
+            for row in valuations], denom
 
 
 def _hungarian_min_cost(cost):
@@ -91,25 +92,55 @@ def _hungarian_min_cost(cost):
     return room_of_agent, v[1:]
 
 
+def _max_welfare(valuations):
+    """(weights, dv, v, room_of_agent) from one plain Hungarian run: the
+    valuations times their common denominator dv, the column potentials v
+    on the cost -weights, and the lexicographically smallest optimum.
+
+    The optima are the perfect matchings of the tight graph (zero reduced
+    cost). Agent i, in order, takes the smallest tight room j < room[i]
+    whose occupant is still free and from which an alternating path of free
+    occupants, each moving on to one of its tight rooms, reaches room[i];
+    the matching rotates along it. A room that a failed search visited
+    cannot reach room[i] either, so one depth-first pass serves every j."""
+    weights, dv = _scaled_int_matrix(valuations)
+    room, v = _hungarian_min_cost([[-w for w in row] for row in weights])
+    tight = [[j for j, w in enumerate(row) if w + v[j] == row[x] + v[x]]
+             for row, x in zip(weights, room)]
+    owner = {x: a for a, x in enumerate(room)}
+    for i, rooms in enumerate(tight):
+        target, parent, found = room[i], {}, None
+        for j in rooms:
+            if j >= target or found is not None:
+                break
+            if j in parent or owner[j] < i:
+                continue
+            parent[j], stack = None, [j]
+            while stack and found is None:
+                y = stack.pop()
+                for z in tight[owner[y]]:
+                    if z == target:
+                        found = y
+                        break
+                    if z not in parent and owner[z] > i:
+                        parent[z] = y
+                        stack.append(z)
+        z, y = target, found
+        while y is not None:  # each occupant on the path moves one room on
+            room[owner[y]], owner[z] = z, owner[y]
+            z, y = y, parent[y]
+        room[i], owner[z] = z, i
+    return weights, dv, v, tuple(room)
+
+
 def max_welfare_assignment(valuations) -> Assignment:
     """A welfare-maximizing assignment; ties break to the lexicographically
     smallest room_of_agent vector so all downstream output is deterministic.
-
-    The tie-break is folded into the cost matrix: welfare is scaled far above
-    a base-(n+1) positional encoding of the room choices, so one exact
-    Hungarian run minimizes (-welfare, room_of_agent) jointly.
-    """
-    n = len(valuations)
-    if n == 0:
+    The optimum is read off the tight graph of one plain Hungarian run."""
+    if len(valuations) == 0:
         raise SizeError("empty instance")
-    weights, _ = _scaled_int_matrix(valuations)
-    base = n + 1
-    # lex term for agent i choosing room j: j * base^(n-1-i), all < base^n
-    scale = base ** n
-    cost = [[-weights[i][j] * scale + j * base ** (n - 1 - i) for j in range(n)]
-            for i in range(n)]
-    room_of_agent, _ = _hungarian_min_cost(cost)
-    return Assignment(tuple(room_of_agent))
+    rows = [[rat(v) for v in row] for row in valuations]
+    return Assignment(_max_welfare(rows)[3])
 
 
 def all_max_welfare_assignments(valuations) -> list:

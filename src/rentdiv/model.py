@@ -2,7 +2,8 @@
 
 Exact rational arithmetic, validated problem instances, allocations, and the
 envy-freeness / constraint checks that every solver asserts at its boundary.
-All solver arithmetic is Fraction-exact; floats appear only as the +/-inf
+Fractions are the interface type; the checks compare integers over one common
+denominator of the valuations and rents. Floats appear only as the +/-inf
 bound sentinels, which never mix with arithmetic (comparisons only).
 """
 
@@ -287,47 +288,60 @@ def utilities(inst: Instance, alloc: Allocation) -> tuple:
                  for i in range(inst.n))
 
 
+def ef_slacks(inst: Instance, alloc: Allocation) -> tuple:
+    """(slack, den): slack[i][j] / den is agent i's utility for its own room
+    minus its utility for room j (negative iff i envies j), with den the lcm
+    of every valuation and rent denominator."""
+    rents = alloc.rents
+    den = math.lcm(*[v.denominator for row in inst.valuations for v in row],
+                   *[r.denominator for r in rents])
+    rnum = [r.numerator * (den // r.denominator) for r in rents]
+    slack = []
+    for row, x in zip(inst.valuations, alloc.assignment.room_of_agent):
+        vnum = [v.numerator * (den // v.denominator) for v in row]
+        own = vnum[x] - rnum[x]
+        slack.append([own - vj + rj for vj, rj in zip(vnum, rnum)])
+    return slack, den
+
+
 def check_envy_free(inst: Instance, alloc: Allocation) -> list:
     """Return all EF violations as (agent, room, gap) with gap > 0 exact.
 
     Empty list iff for all i, j: v_{i,sigma(i)} - r_{sigma(i)} >= v_ij - r_j.
     """
-    sigma = alloc.assignment.room_of_agent
-    out = []
-    for i in range(inst.n):
-        own = inst.valuations[i][sigma[i]] - alloc.rents[sigma[i]]
-        for j in range(inst.n):
-            if j == sigma[i]:
-                continue
-            gap = (inst.valuations[i][j] - alloc.rents[j]) - own
-            if gap > 0:
-                out.append((i, j, gap))
-    return out
+    slack, den = ef_slacks(inst, alloc)
+    return [(i, j, Fraction(-s, den))
+            for i, row in enumerate(slack) for j, s in enumerate(row) if s < 0]
 
 
-def check_constraints(inst: Instance, alloc: Allocation) -> ConstraintReport:
-    """Flag per-room bounds, per-agent budgets, and the exact total."""
-    sigma = alloc.assignment.room_of_agent
+def check_constraints(inst: Instance, alloc: Allocation, rooms=None,
+                      agents=None) -> ConstraintReport:
+    """Flag per-room bounds, per-agent budgets, and the exact total.
+
+    Violations name rooms and agents by the given labels (default: 1-indexed
+    numbers) and come in that order: bounds, budgets, then the total."""
+    numbers = range(1, inst.n + 1)
+    rooms, agents = rooms or numbers, agents or numbers
     violations = []
     bounds_ok = True
     for j in range(inst.n):
         r = alloc.rents[j]
         if r < inst.lower_bounds[j]:
             bounds_ok = False
-            violations.append(f"room {j + 1}: rent {format_rat(r)} below lower "
-                              f"bound {format_rat(inst.lower_bounds[j])}")
+            violations.append(f"room {rooms[j]}: rent {format_rat(r)} below "
+                              f"lower bound {format_rat(inst.lower_bounds[j])}")
         if r > inst.upper_bounds[j]:
             bounds_ok = False
-            violations.append(f"room {j + 1}: rent {format_rat(r)} above upper "
-                              f"bound {format_rat(inst.upper_bounds[j])}")
+            violations.append(f"room {rooms[j]}: rent {format_rat(r)} above "
+                              f"upper bound {format_rat(inst.upper_bounds[j])}")
     budgets_ok = True
-    for i in range(inst.n):
-        j = sigma[i]
+    for i, j in enumerate(alloc.assignment.room_of_agent):
         if alloc.rents[j] > inst.budgets[i][j]:
             budgets_ok = False
-            violations.append(f"agent {i + 1}: rent {format_rat(alloc.rents[j])} "
-                              f"over budget {format_rat(inst.budgets[i][j])} "
-                              f"for room {j + 1}")
+            violations.append(f"agent {agents[i]}: rent "
+                              f"{format_rat(alloc.rents[j])} over budget "
+                              f"{format_rat(inst.budgets[i][j])} for room "
+                              f"{rooms[j]}")
     total = sum(alloc.rents, Fraction(0))
     total_ok = total == inst.total_rent
     if not total_ok:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import FIX_TIE_VALS, make_fix_a, make_fix_ex, make_fix_tie
 import rentdiv.budgets
+import rentdiv.matching
 from rentdiv import (
     build_envy_graph,
     check_certificate,
@@ -109,6 +110,26 @@ def test_seed_runs_once_per_solve(monkeypatch):
                         counting_seed)
     assert combined_solve(inst, "any").status == SOLVED
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("budgets", [None, [[50] * 3] * 3])
+def test_one_hungarian_per_solve(monkeypatch, budgets):
+    # the canonical assignment and the seed's prices come from one run
+    inst = make_instance([[5, 5, 0], [5, 5, 0], [0, 1, 10]], 6,
+                         budgets=budgets)
+    calls = []
+    hungarian = rentdiv.matching._hungarian_min_cost
+
+    def counting_hungarian(cost):
+        calls.append(len(cost))
+        return hungarian(cost)
+
+    monkeypatch.setattr(rentdiv.matching, "_hungarian_min_cost",
+                        counting_hungarian)
+    for objective in OBJECTIVES:
+        calls.clear()
+        assert combined_solve(inst, objective).status == SOLVED
+        assert calls == [3]
 
 
 def test_cap_check_precedes_the_repair():

@@ -179,3 +179,66 @@ def test_component_partition_is_allocation_independent(case):
     p1 = scc_partition(build_envy_graph(inst, first))
     p2 = scc_partition(build_envy_graph(shifted_inst, other))
     assert set(p1) == set(p2)
+
+
+def _reference_gaps(inst, a):
+    """check_envy_free spelled out in Fraction arithmetic."""
+    sigma = a.assignment.room_of_agent
+    out = []
+    for i in range(inst.n):
+        own = inst.valuations[i][sigma[i]] - a.rents[sigma[i]]
+        for j in range(inst.n):
+            gap = (inst.valuations[i][j] - a.rents[j]) - own
+            if j != sigma[i] and gap > 0:
+                out.append((i, j, gap))
+    return out
+
+
+def _reference_edges(inst, a, budgets=None):
+    """Envy edges spelled out in Fraction arithmetic, sorted by (from, to);
+    with budgets, only toward rooms strictly below the mover's budget."""
+    sigma = a.assignment.room_of_agent
+    edges = []
+    for i in range(inst.n):
+        x = sigma[i]
+        own = inst.valuations[i][x] - a.rents[x]
+        for j in range(inst.n):
+            other = inst.valuations[i][j] - a.rents[j]
+            if j == x or own > other:
+                continue
+            if budgets is not None and not a.rents[j] < budgets[i][j]:
+                continue
+            edges.append((x, j, STRONG if own < other else WEAK))
+    return tuple(sorted(edges))
+
+
+# Tie-heavy valuations with mixed denominators; rents that often repeat
+# each other or a valuation, or have large denominators, or are negative;
+# budgets infinite or drawn like the rents, so often equal to one.
+_small = st.sampled_from([Fraction(k, d) for d in (1, 2, 3) for k in range(4)])
+_rent = st.one_of(
+    _small, _small.map(lambda r: -r),
+    st.fractions(min_value=-40, max_value=40, max_denominator=10**9))
+_budget = st.one_of(st.just("inf"), _rent)
+
+
+@st.composite
+def envy_check_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    vals = draw(st.lists(st.lists(_small, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    budgets = draw(st.lists(st.lists(_budget, min_size=n, max_size=n),
+                            min_size=n, max_size=n))
+    rooms = draw(st.permutations(range(n)))
+    rents = draw(st.lists(_rent, min_size=n, max_size=n))
+    return make_instance(vals, 0, budgets=budgets), alloc(rooms, rents)
+
+
+@settings(max_examples=300, deadline=None)
+@given(envy_check_cases())
+def test_integer_checks_match_fraction_reference(case):
+    inst, a = case
+    assert check_envy_free(inst, a) == _reference_gaps(inst, a)
+    assert build_envy_graph(inst, a).edges == _reference_edges(inst, a)
+    assert build_budget_graph(inst, a).edges \
+        == _reference_edges(inst, a, inst.budgets)

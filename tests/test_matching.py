@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -77,10 +78,61 @@ def test_matches_brute_force_optimum(vals):
     sigma = max_welfare_assignment(vals)
     assert assignment_welfare(vals, sigma) == best
     every = all_max_welfare_assignments(vals)
-    assert sigma in every
+    assert sigma == every[0]
     assert all(assignment_welfare(vals, a) == best for a in every)
     assert [a.room_of_agent for a in every] == sorted(
         a.room_of_agent for a in every)
+
+
+# Values 0..3 over denominators 1..3: many welfare ties, where the walk over
+# the tight graph has to rotate agents to reach the lexicographic optimum.
+tie_heavy_matrices = st.integers(min_value=1, max_value=7).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from([Fraction(k, d) for d in (1, 2, 3)
+                                  for k in range(4)]),
+                 min_size=n, max_size=n),
+        min_size=n, max_size=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tie_heavy_matrices)
+def test_tie_heavy_optimum_is_lexicographically_first(vals):
+    every = all_max_welfare_assignments(vals)
+    assert max_welfare_assignment(vals) == every[0]
+
+
+def _max_matching_size(adjacent):
+    """Maximum bipartite matching size by augmenting paths (Kuhn)."""
+    room_owner = {}
+
+    def augment(agent, seen):
+        for room in adjacent[agent]:
+            if room not in seen:
+                seen.add(room)
+                if room not in room_owner or augment(room_owner[room], seen):
+                    room_owner[room] = agent
+                    return True
+        return False
+
+    return sum(augment(agent, set()) for agent in range(len(adjacent)))
+
+
+def test_large_zero_one_optimum_is_a_max_matching():
+    rng = random.Random(200)
+    n = 200
+    vals = [[Fraction(rng.randint(0, 1)) for _ in range(n)] for _ in range(n)]
+    sigma = max_welfare_assignment(vals)
+    assert sorted(sigma.room_of_agent) == list(range(n))
+    ones = [[j for j in range(n) if vals[i][j] == 1] for i in range(n)]
+    assert assignment_welfare(vals, sigma) == _max_matching_size(ones)
+
+
+def test_large_all_equal_optimum_is_the_identity():
+    # every assignment maximizes welfare, so the lexicographic optimum is
+    # the identity
+    n = 200
+    sigma = max_welfare_assignment([[Fraction(7)] * n for _ in range(n)])
+    assert sigma.room_of_agent == tuple(range(n))
 
 
 tied_matrices = st.integers(min_value=2, max_value=4).flatmap(
