@@ -3,10 +3,13 @@
 Everything here is deliberately brute force. The envy-free allocations for a
 fixed assignment form a polytope in rent space; each objective is a small
 linear program over it (possibly with helper variables), solved by a dense
-two-phase simplex on Fractions with Bland's rule, so results are exact and
-runs are reproducible. Assignments are enumerated outright. None of the main
-solver's machinery is used, which is the point: agreement between the two
-paths is the strongest check the test suite has.
+two-phase simplex with Bland's rule. Its tableau rows are integers standing
+for their values times a positive row factor, so pivots are fraction-free
+(Edmonds 1967; Bareiss 1968) and Fractions appear only where a LinearProgram
+is read and an LPResult built; results are exact and runs are reproducible.
+Assignments are enumerated outright. None of the main solver's machinery is
+used, which is the point: agreement between the two paths is the strongest
+check the test suite has.
 
 Only sensible at small n; the enumeration limit is inherited from matching.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 from .matching import ENUMERATION_LIMIT, SizeError, all_max_welfare_assignments
@@ -53,20 +57,27 @@ class UnsupportedObjectiveError(ValueError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min/max c.x subject to rows (coeffs, relation, rhs); variables free."""
+    """min/max c.x subject to rows (coeffs, relation, rhs); variables free,
+    entries ints or Fractions."""
 
     names: tuple
     constraints: tuple  # ((coeffs...), "<="|"="|">=", rhs)
     objective: Optional[tuple] = None  # ((coeffs...), "max"|"min")
 
     def __post_init__(self):
-        for coeffs, rel, _ in self.constraints:
-            assert len(coeffs) == len(self.names)
-            assert rel in (LESS_EQUAL, EQUAL, GREATER_EQUAL)
+        for k, (coeffs, rel, _) in enumerate(self.constraints):
+            if len(coeffs) != len(self.names):
+                raise ValueError(f"constraint {k} has {len(coeffs)} "
+                                 f"coefficients for {len(self.names)} names")
+            if rel not in (LESS_EQUAL, EQUAL, GREATER_EQUAL):
+                raise ValueError(f"constraint {k} has relation {rel!r}")
         if self.objective is not None:
             coeffs, sense = self.objective
-            assert len(coeffs) == len(self.names)
-            assert sense in (MAXIMIZE, MINIMIZE)
+            if len(coeffs) != len(self.names):
+                raise ValueError(f"objective has {len(coeffs)} coefficients "
+                                 f"for {len(self.names)} names")
+            if sense not in (MAXIMIZE, MINIMIZE):
+                raise ValueError(f"objective sense {sense!r}")
 
 
 @dataclass(frozen=True)
@@ -76,17 +87,39 @@ class LPResult:
     point: Optional[tuple] = None
 
 
+def _scaled(values):
+    """Rational values as integers over the lcm of their denominators, and
+    that lcm."""
+    scale = lcm(*[v.denominator for v in values])
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def _pivot(tableau, basis, row, col):
+    """Make col basic in row: every other row becomes pv*row - row[col]*pivot
+    row, cut by its gcd, so each row's factor stays positive."""
     pivot_row = tableau[row]
     pv = pivot_row[col]
-    if pv != 1:
-        pivot_row = [x / pv for x in pivot_row]
-        tableau[row] = pivot_row
+    if pv < 0:  # only a leftover artificial pivoted out after phase 1
+        pv = -pv
+        pivot_row = tableau[row] = [-x for x in pivot_row]
     for i, other in enumerate(tableau):
-        if i != row and other[col]:
-            f = other[col]
-            tableau[i] = [a - f * p for a, p in zip(other, pivot_row)]
+        f = other[col]
+        if i != row and f:
+            new = [pv * a - f * p for a, p in zip(other, pivot_row)]
+            g = gcd(*new)
+            tableau[i] = [x // g for x in new] if g > 1 else new
     basis[row] = col
+
+
+def _priced(cost, tableau, basis):
+    """The cost row reduced to zero on every basic column: a positive
+    multiple of the reduced costs."""
+    for row, b in zip(tableau, basis):
+        f = cost[b]
+        if f:
+            d = row[b]
+            cost = [d * c - f * a for c, a in zip(cost, row)]
+    return cost
 
 
 def _run_simplex(tableau, basis, width):
@@ -102,26 +135,32 @@ def _run_simplex(tableau, basis, width):
         for i in range(m):
             a = tableau[i][col]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if best is None or ratio < best[0] or \
-                        (ratio == best[0] and basis[i] < best[1]):
-                    best = (ratio, basis[i], i)
+                rhs = tableau[i][-1]
+                if best is not None:  # ratio rhs/a against the best so far
+                    cross = rhs * best[1] - best[0] * a
+                    if cross > 0 or (cross == 0 and basis[i] > basis[best[2]]):
+                        continue
+                best = (rhs, a, i)
         if best is None:
             return UNBOUNDED
         _pivot(tableau, basis, best[2], col)
 
 
 def lp_solve(lp: LinearProgram) -> LPResult:
-    """Exact two-phase simplex. Free variables are split internally."""
+    """Exact two-phase simplex with Bland's rule. Free variables are split
+    internally. Each tableau row is a list of integers standing for its values
+    times an unstated positive factor (a constraint row's entry in its basic
+    column), so pivots need no division; Fractions appear only in the
+    LinearProgram read and the LPResult built."""
     nv = len(lp.names)
     rows = []
     for coeffs, rel, rhs in lp.constraints:
-        if rhs < 0:
-            coeffs = tuple(-c for c in coeffs)
-            rhs = -rhs
+        nums, scale = _scaled((*coeffs, rhs))
+        if nums[-1] < 0:
+            nums = [-x for x in nums]
             rel = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL,
                    EQUAL: EQUAL}[rel]
-        rows.append((coeffs, rel, rhs))
+        rows.append((nums, rel, scale))
 
     n_slack = sum(1 for _, rel, _ in rows if rel != EQUAL)
     n_art = sum(1 for _, rel, _ in rows if rel != LESS_EQUAL)
@@ -131,37 +170,29 @@ def lp_solve(lp: LinearProgram) -> LPResult:
 
     tableau = []
     basis = []
-    zero = Fraction(0)
-    one = Fraction(1)
     si = ai = 0
-    for coeffs, rel, rhs in rows:
-        row = [zero] * total_cols
-        for v, c in enumerate(coeffs):
-            row[2 * v] = Fraction(c)
-            row[2 * v + 1] = -Fraction(c)
+    for nums, rel, scale in rows:
+        row = [0] * total_cols
+        for v in range(nv):
+            row[2 * v] = nums[v]
+            row[2 * v + 1] = -nums[v]
         if rel != EQUAL:
-            row[split + si] = one if rel == LESS_EQUAL else -one
+            row[split + si] = scale if rel == LESS_EQUAL else -scale
             si += 1
-        row[-1] = Fraction(rhs)
+        row[-1] = nums[-1]
         if rel == LESS_EQUAL:
             basis.append(split + si - 1)
         else:
-            row[width + ai] = one
+            row[width + ai] = scale
             basis.append(width + ai)
             ai += 1
         tableau.append(row)
 
-    if n_art:
-        cost = [zero] * total_cols
-        for i, b in enumerate(basis):
-            if b >= width:  # cost 1 per artificial: subtract its row
-                cost = [c - a for c, a in zip(cost, tableau[i])]
-        for j in range(width, width + n_art):
-            cost[j] = zero
-        tableau.append(cost)
+    if n_art:  # cost 1 per artificial
+        tableau.append(_priced([0] * width + [1] * n_art + [0], tableau, basis))
         status = _run_simplex(tableau, basis, width + n_art)
         assert status == OPTIMAL, "phase 1 objective is bounded below by 0"
-        if -tableau[-1][-1] != 0:
+        if tableau[-1][-1] != 0:
             return LPResult(status=LP_INFEASIBLE)
         tableau.pop()
         # pivot leftover artificials out of the basis, drop redundant rows
@@ -182,27 +213,22 @@ def lp_solve(lp: LinearProgram) -> LPResult:
 
     coeffs, sense = lp.objective
     sign = -1 if sense == MAXIMIZE else 1
-    cost = [zero] * (width + 1)
-    for v, c in enumerate(coeffs):
-        cost[2 * v] = sign * Fraction(c)
-        cost[2 * v + 1] = -sign * Fraction(c)
-    for i, b in enumerate(basis):
-        if cost[b]:
-            f = cost[b]
-            cost = [c - f * a for c, a in zip(cost, tableau[i])]
-    tableau.append(cost)
+    nums, _ = _scaled(coeffs)
+    cost = [0] * (width + 1)
+    for v, c in enumerate(nums):
+        cost[2 * v] = sign * c
+        cost[2 * v + 1] = -sign * c
+    tableau.append(_priced(cost, tableau, basis))
     status = _run_simplex(tableau, basis, width)
     if status == UNBOUNDED:
         return LPResult(status=UNBOUNDED)
-    value = sign * -tableau[-1][-1]
     point = _extract_point(tableau[:-1], basis, nv)
+    value = sum((Fraction(c) * x for c, x in zip(coeffs, point)), Fraction(0))
     return LPResult(status=OPTIMAL, value=value, point=point)
 
 
 def _extract_point(tableau, basis, nv):
-    values = {}
-    for i, b in enumerate(basis):
-        values[b] = tableau[i][-1]
+    values = {b: Fraction(row[-1], row[b]) for row, b in zip(tableau, basis)}
     zero = Fraction(0)
     return tuple(values.get(2 * v, zero) - values.get(2 * v + 1, zero)
                  for v in range(nv))
