@@ -61,26 +61,43 @@ class BoundsResult:
 def _effective(inst: Instance, lower, upper):
     lo = tuple(lower) if lower is not None else inst.lower_bounds
     hi = tuple(upper) if upper is not None else inst.upper_bounds
-    assert all(l <= h for l, h in zip(lo, hi))
+    # _classes places no room at an infinite bound: -inf lower, +inf upper
+    assert all(l <= h and not (isinstance(l, float) and l > 0)
+               and not (isinstance(h, float) and h < 0)
+               for l, h in zip(lo, hi))
     return lo, hi
 
 
-def _classes(rents, lower, upper):
-    """Rooms strictly below/above their bounds, and exactly at them.
-    A pinned room (l == r == u) lands in both at_lower and at_upper."""
-    below = {j for j, r in enumerate(rents) if r < lower[j]}
-    above = {j for j, r in enumerate(rents) if r > upper[j]}
-    at_lower = {j for j, r in enumerate(rents) if r == lower[j]}
-    at_upper = {j for j, r in enumerate(rents) if r == upper[j]}
+def _classes(state: RentState, lower, upper):
+    """Rooms strictly below/above their bounds, and exactly at them, on the
+    integer rents: r_j = num_j / D sits below l = a / b iff num_j * b < a * D.
+    Infinite bounds place no room. A pinned room (l == r == u) lands in both
+    at_lower and at_upper."""
+    d = state.den
+    below, above, at_lower, at_upper = set(), set(), set(), set()
+    for j, (x, lo, hi) in enumerate(zip(state.num, lower, upper)):
+        if not isinstance(lo, float):
+            c = x * lo.denominator - lo.numerator * d
+            if c < 0:
+                below.add(j)
+            elif c == 0:
+                at_lower.add(j)
+        if not isinstance(hi, float):
+            c = x * hi.denominator - hi.numerator * d
+            if c > 0:
+                above.add(j)
+            elif c == 0:
+                at_upper.add(j)
     return below, above, at_lower, at_upper
 
 
 def _start_state(inst, assignment, rents):
     """The engine for the assignment and the integer state of EF rents."""
     assert len(rents) == inst.n
-    assert sum(rents, Fraction(0)) == inst.total_rent
-    engine = EventEngine(inst, assignment)
     state = RentState.of(rents)
+    total = inst.total_rent
+    assert sum(state.num) * total.denominator == total.numerator * state.den
+    engine = EventEngine(inst, assignment)
     _, _, strong = engine.weak_strong_adjacency(state)
     assert not strong, "starting rents are not envy-free"
     return engine, state
@@ -136,14 +153,14 @@ def ef_rents_with_bounds(inst: Instance, assignment: Assignment, rents,
         return InfeasibilityCertificate(
             kind=ENVY_PATH_VIOLATION, explanation=explanation,
             witness_path=path, witness_rooms=rooms, assignment=assignment,
-            final_rents=rents, effective_lower=lower, effective_upper=upper)
+            final_rents=state.rents, effective_lower=lower,
+            effective_upper=upper)
 
     iterations = 0
     while True:
-        rents = state.rents
-        below, above, at_lower, at_upper = _classes(rents, lower, upper)
+        below, above, at_lower, at_upper = _classes(state, lower, upper)
         if not below and not above:
-            return BoundsResult(rents=rents, certificate=None)
+            return BoundsResult(rents=state.rents, certificate=None)
         iterations += 1
         assert iterations <= n * n, "bound repair does not settle"
 
@@ -214,6 +231,11 @@ def check_certificate(inst: Instance, cert: InfeasibilityCertificate) -> list:
     assignment passes even when the instance is solvable."""
     n = inst.n
     everything = frozenset(range(n))
+    named = [*(cert.witness_path or ()), *(cert.witness_rooms or ())]
+    stray = [j for j in named if not (isinstance(j, int) and 0 <= j < n)]
+    if stray:
+        return [f"witness room {j!r} is not a room index 0..{n - 1}"
+                for j in stray]
     if cert.kind == BOUND_SUM_VIOLATION:
         problems = []
         if set(cert.witness_rooms or ()) != everything:
@@ -250,6 +272,9 @@ def check_certificate(inst: Instance, cert: InfeasibilityCertificate) -> list:
                            cert.effective_upper)
     if rents is None or lower is None or upper is None:
         return ["envy-path witness lacks its final rents or bounds"]
+    if not len(rents) == len(lower) == len(upper) == n:
+        return ["envy-path witness needs one final rent and one effective "
+                "bound per room"]
     problems = []
     if sum(rents, Fraction(0)) != inst.total_rent:
         problems.append("witness rents break the total")
@@ -258,7 +283,8 @@ def check_certificate(inst: Instance, cert: InfeasibilityCertificate) -> list:
             problems.append(f"room {j}: effective bounds are tighter than "
                             f"the instance allows")
     graph = build_envy_graph(inst, Allocation(cert.assignment, tuple(rents)))
-    below, above, at_lower, at_upper = _classes(rents, lower, upper)
+    below, above, at_lower, at_upper = _classes(RentState.of(rents), lower,
+                                                upper)
     path = cert.witness_path
     if path is not None:
         if not path:
@@ -285,20 +311,21 @@ def check_certificate(inst: Instance, cert: InfeasibilityCertificate) -> list:
     return problems
 
 
-def _occupant_utilities(engine: EventEngine, rents):
-    vals = engine.inst.valuations
-    return [vals[engine.agent_of_room[x]][x] - rents[x]
-            for x in range(engine.n)]
+def _occupant_utilities(engine: EventEngine, state: RentState):
+    """Each room's occupant utility, as integers over dv * D."""
+    dv, d = engine.dv, state.den
+    return [v * d - x * dv for v, x in zip(engine.occ_val, state.num)]
 
 
 def _objective_start(inst, assignment, rents, lower, upper):
     """The engine for the assignment, the integer state of an in-bounds EF
     start, and the effective bounds."""
     lower, upper = _effective(inst, lower, upper)
-    rents = tuple(rents)
-    assert all(lower[j] <= rents[j] <= upper[j] for j in range(inst.n)), \
+    engine, state = _start_state(inst, assignment, tuple(rents))
+    below, above, _, _ = _classes(state, lower, upper)
+    assert not below and not above, \
         "objective stage needs an in-bounds starting point"
-    return (*_start_state(inst, assignment, rents), lower, upper)
+    return engine, state, lower, upper
 
 
 def _lift_min_class(engine: EventEngine, state, lower, upper, frozen, cap,
@@ -316,11 +343,10 @@ def _lift_min_class(engine: EventEngine, state, lower, upper, frozen, cap,
     everything = frozenset(range(n))
     moves = 0
     while True:
-        rents = state.rents
         succ, pred, strong = engine.weak_strong_adjacency(state)
         assert not strong
-        _, _, at_lower, at_upper = _classes(rents, lower, upper)
-        util = _occupant_utilities(engine, rents)
+        _, _, at_lower, at_upper = _classes(state, lower, upper)
+        util = _occupant_utilities(engine, state)
         m = min(util[x] for x in range(n) if x not in frozen)
         min_class = frozenset(x for x in range(n)
                               if x not in frozen and util[x] == m)
@@ -389,7 +415,7 @@ def leximin_rents(inst: Instance, assignment: Assignment, rents,
         assert budget >= 0, "leximin does not settle"
         frozen |= floored
         for x in floored:
-            eff_lo[x] = eff_hi[x] = state.rents[x]
+            eff_lo[x] = eff_hi[x] = Fraction(state.num[x], state.den)
         if trace is not None:
             trace.record("leximin", Fraction(0),
                          (("freeze", tuple(sorted(floored))),),
@@ -416,8 +442,11 @@ def minspread_rents(inst: Instance, assignment: Assignment, rents,
                                                    lower, upper)
     state = _maximin(engine, state, lower, upper, trace)
 
-    util = _occupant_utilities(engine, state.rents)
-    m = min(util)
+    # the maximin level m, as a Fraction for the ceilings and as the
+    # integers m_num / m_den for the per-event test
+    m = Fraction(min(_occupant_utilities(engine, state)),
+                 engine.dv * state.den)
+    m_num, m_den = m.numerator, m.denominator
     eff_lo = tuple(lower)
     eff_hi = tuple(min(upper[x],
                        inst.valuations[engine.agent_of_room[x]][x] - m)
@@ -425,13 +454,12 @@ def minspread_rents(inst: Instance, assignment: Assignment, rents,
 
     events = 0
     while True:
-        rents = state.rents
         succ, pred, strong = engine.weak_strong_adjacency(state)
         assert not strong
-        _, _, at_lower, at_upper = _classes(rents, eff_lo, eff_hi)
-        util = _occupant_utilities(engine, rents)
+        _, _, at_lower, at_upper = _classes(state, eff_lo, eff_hi)
+        util = _occupant_utilities(engine, state)
         top = max(util)
-        if top == m:
+        if top * m_den == m_num * engine.dv * state.den:
             break
         max_class = {x for x in range(n) if util[x] == top}
         pushed_up = _closure(n, succ, max_class)

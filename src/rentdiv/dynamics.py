@@ -18,7 +18,7 @@ state gives the weak/strong adjacency, and the scan that follows reuses
 those slacks; the move to an event at t is D <- D * q * t.den with the
 numerators updated to match, then one gcd reduction. Only the winning event
 time is a Fraction; RentState.rents builds the Fraction view where a caller
-needs it (returned rents, bound tests, trace snapshots).
+needs it (returned rents, trace snapshots).
 
 The scan doubles as the per-event invariant check: a non-conserving plan, a
 negative EF slack or a weak edge about to turn strong trips an assertion.
@@ -31,7 +31,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .matching import _scaled_int_matrix
 from .model import Instance, is_finite
 
 NEW_WEAK_EDGE = "new_weak_edge"
@@ -156,7 +155,7 @@ class EventEngine:
         self.agent_of_room = [0] * self.n
         for i, x in enumerate(self.sigma):
             self.agent_of_room[x] = i
-        vnum, self.dv = _scaled_int_matrix(inst.valuations)
+        vnum, self.dv = inst.scaled_valuations
         # diff[i][j] = (v_{i,sigma(i)} - v_ij) * dv
         self.diff = [[vnum[i][self.sigma[i]] - vnum[i][j] for j in range(self.n)]
                      for i in range(self.n)]

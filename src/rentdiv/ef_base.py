@@ -7,9 +7,10 @@ Gale 1991): complementary slackness makes each agent's own room tight,
 u_i = v_{i,sigma(i)} - p_{sigma(i)}, and dual feasibility caps its utility
 for every other room at u_i.
 
-So the seed is one plain Hungarian run on the valuations scaled to integers
-by their common denominator dv, the same run that gives the canonical
-assignment (matching._max_welfare): its column potentials v give rents
+So the seed is one plain Hungarian run on the instance's integer valuation
+matrix (Instance.scaled_valuations: the valuations times their common
+denominator dv), the same run that gives the canonical assignment
+(matching._max_welfare): its column potentials v give rents
 r_j = -v_j / dv, and one uniform shift by (total - sum r) / n then splits
 exactly the total without changing anyone's envy. The rents share a
 denominator dividing n * dv * den(total). No rent moves step by step, so the
@@ -39,7 +40,8 @@ def initial_ef_allocation(inst: Instance,
     assignment is passed (default: max_welfare_assignment); an assignment
     that does not maximize welfare raises ValueError."""
     n = inst.n
-    weights, dv, v, optimum = _max_welfare(inst.valuations)
+    weights, dv = inst.scaled_valuations
+    v, optimum = _max_welfare(weights)
     assignment = assignment or Assignment(optimum)
     # The optimum's weight is -(sum(u) + sum(v)), the dual objective: every
     # matched pair is tight.

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
 
-from .model import Assignment, rat
+from .model import Assignment, _scaled_int_matrix, rat
 
 
 class SizeError(ValueError):
@@ -28,14 +27,6 @@ def assignment_welfare(valuations, assignment: Assignment) -> Fraction:
     """Total matched valuation sum_i v_{i,sigma(i)}."""
     return sum((valuations[i][j] for i, j in enumerate(assignment.room_of_agent)),
                Fraction(0))
-
-
-def _scaled_int_matrix(valuations):
-    """(weights, denom): the exact valuations (Fractions or ints) times their
-    common denominator denom, as integers."""
-    denom = lcm(*[v.denominator for row in valuations for v in row])
-    return [[v.numerator * (denom // v.denominator) for v in row]
-            for row in valuations], denom
 
 
 def _hungarian_min_cost(cost):
@@ -92,10 +83,11 @@ def _hungarian_min_cost(cost):
     return room_of_agent, v[1:]
 
 
-def _max_welfare(valuations):
-    """(weights, dv, v, room_of_agent) from one plain Hungarian run: the
-    valuations times their common denominator dv, the column potentials v
-    on the cost -weights, and the lexicographically smallest optimum.
+def _max_welfare(weights):
+    """(v, room_of_agent) from one plain Hungarian run on the integer
+    valuation matrix weights (model.Instance.scaled_valuations): the column
+    potentials v on the cost -weights, and the lexicographically smallest
+    optimum.
 
     The optima are the perfect matchings of the tight graph (zero reduced
     cost). Agent i, in order, takes the smallest tight room j < room[i]
@@ -103,7 +95,6 @@ def _max_welfare(valuations):
     occupants, each moving on to one of its tight rooms, reaches room[i];
     the matching rotates along it. A room that a failed search visited
     cannot reach room[i] either, so one depth-first pass serves every j."""
-    weights, dv = _scaled_int_matrix(valuations)
     room, v = _hungarian_min_cost([[-w for w in row] for row in weights])
     tight = [[j for j, w in enumerate(row) if w + v[j] == row[x] + v[x]]
              for row, x in zip(weights, room)]
@@ -130,7 +121,7 @@ def _max_welfare(valuations):
             room[owner[y]], owner[z] = z, owner[y]
             z, y = y, parent[y]
         room[i], owner[z] = z, i
-    return weights, dv, v, tuple(room)
+    return v, tuple(room)
 
 
 def max_welfare_assignment(valuations) -> Assignment:
@@ -140,7 +131,7 @@ def max_welfare_assignment(valuations) -> Assignment:
     if len(valuations) == 0:
         raise SizeError("empty instance")
     rows = [[rat(v) for v in row] for row in valuations]
-    return Assignment(_max_welfare(rows)[3])
+    return Assignment(_max_welfare(_scaled_int_matrix(rows)[0])[1])
 
 
 def all_max_welfare_assignments(valuations) -> list:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 NEG_INF = -math.inf
@@ -96,6 +97,16 @@ def format_rat(x: BoundValue) -> str:
     return str(x)
 
 
+def _scaled_int_matrix(valuations) -> tuple:
+    """(weights, denom): the exact valuations (Fractions or ints) times their
+    common denominator denom, as a tuple of integer rows. An entry already
+    over denom keeps its numerator object."""
+    denom = math.lcm(*[v.denominator for row in valuations for v in row])
+    return tuple([tuple([v.numerator if v.denominator == denom
+                         else v.numerator * (denom // v.denominator)
+                         for v in row]) for row in valuations]), denom
+
+
 @dataclass(frozen=True)
 class Instance:
     """A validated rent-division problem: n agents, n rooms, exact money.
@@ -111,6 +122,14 @@ class Instance:
     lower_bounds: tuple  # per room, Fraction or NEG_INF
     upper_bounds: tuple  # per room, Fraction or POS_INF
     budgets: tuple  # n x n, Fraction or POS_INF
+
+    @cached_property
+    def scaled_valuations(self) -> tuple:
+        """(weights, dv): the valuations times their common denominator dv,
+        as a tuple of integer rows. Computed once per instance and shared by
+        every stage of a solve; not a field, so it takes no part in ==,
+        hash or repr."""
+        return _scaled_int_matrix(self.valuations)
 
 
 @dataclass(frozen=True)
@@ -237,7 +256,7 @@ def validate_instance(raw: Instance) -> Instance:
         for j, v in enumerate(row):
             if not isinstance(v, Fraction):
                 raise ShapeError(f"valuation[{i}][{j}] is not exact")
-            if v < 0:
+            if v.numerator < 0:  # the denominator is always positive
                 raise ShapeError(f"valuation[{i}][{j}] is negative")
     if not isinstance(raw.total_rent, Fraction):
         raise ShapeError("total_rent is not exact")
@@ -292,15 +311,15 @@ def ef_slacks(inst: Instance, alloc: Allocation) -> tuple:
     """(slack, den): slack[i][j] / den is agent i's utility for its own room
     minus its utility for room j (negative iff i envies j), with den the lcm
     of every valuation and rent denominator."""
+    weights, dv = inst.scaled_valuations
     rents = alloc.rents
-    den = math.lcm(*[v.denominator for row in inst.valuations for v in row],
-                   *[r.denominator for r in rents])
+    den = math.lcm(dv, *[r.denominator for r in rents])
+    scale = den // dv
     rnum = [r.numerator * (den // r.denominator) for r in rents]
     slack = []
-    for row, x in zip(inst.valuations, alloc.assignment.room_of_agent):
-        vnum = [v.numerator * (den // v.denominator) for v in row]
-        own = vnum[x] - rnum[x]
-        slack.append([own - vj + rj for vj, rj in zip(vnum, rnum)])
+    for row, x in zip(weights, alloc.assignment.room_of_agent):
+        own = row[x] * scale - rnum[x]
+        slack.append([own - w * scale + rj for w, rj in zip(row, rnum)])
     return slack, den
 
 

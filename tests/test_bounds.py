@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,7 @@ from conftest import make_fix_a, make_fix_ex, make_fix_tie
 from rentdiv import (
     Allocation,
     Assignment,
+    check_certificate,
     check_constraints,
     check_envy_free,
     combined_solve,
@@ -18,8 +20,9 @@ from rentdiv import (
     oracle_solve,
     utilities,
 )
-from rentdiv.dynamics import EventEngine, TraceLog
-from rentdiv.model import ENVY_PATH_VIOLATION, SOLVED
+from rentdiv.bounds import _classes
+from rentdiv.dynamics import EventEngine, RentState, TraceLog
+from rentdiv.model import ENVY_PATH_VIOLATION, NEG_INF, POS_INF, SOLVED
 
 
 ID2 = Assignment((0, 1))
@@ -208,3 +211,86 @@ def test_objectives_match_oracle(case):
         moved = Allocation(assignment, tuple(rents))
         assert check_envy_free(inst, moved) == []
         assert check_constraints(inst, moved).all_ok
+
+
+def _solved_certificate(vals, total, **bounds):
+    inst = make_instance(vals, total, **bounds)
+    cert = combined_solve(inst, "any").certificate
+    assert check_certificate(inst, cert) == []
+    return inst, cert
+
+
+def test_certificate_rooms_outside_the_instance_are_problems():
+    # budget-cap witness on the last room: (-1,) must not pass as room n-1
+    inst, cert = _solved_certificate(
+        [[1, 1], [1, 1]], 2, lower_bounds=["-inf", 1],
+        budgets=[["inf", -1], ["inf", -1]])
+    assert cert.witness_rooms == (1,)
+    # envy chain from the last room: the path's rooms are indexed too
+    pinned = [-60, 50]
+    path_inst, path_cert = _solved_certificate(
+        [[10, 2], [4, 6]], -10, lower_bounds=pinned, upper_bounds=pinned)
+    assert path_cert.witness_path == (1, 0)
+    for inst, cert, field, rooms in (
+            (inst, cert, "witness_rooms", (5,)),
+            (inst, cert, "witness_rooms", (-1,)),
+            (path_inst, path_cert, "witness_path", (5, 0)),
+            (path_inst, path_cert, "witness_path", (-1, 0))):
+        problems = check_certificate(inst, replace(cert, **{field: rooms}))
+        assert problems == [f"witness room {rooms[0]} is not a room index "
+                            f"0..1"], (field, rooms)
+
+
+def test_envy_path_witness_of_the_wrong_length_is_a_problem():
+    # a dead-end witness; zip must not drop or ignore the extra room
+    inst, cert = _solved_certificate(
+        [[10, 2], [4, 6]], 8, lower_bounds=[0, 3], upper_bounds=[0, 8])
+    assert cert.witness_path is None
+    wrong = "envy-path witness needs one final rent and one effective " \
+            "bound per room"
+    for field, extra in (("final_rents", Fraction(0)),
+                         ("effective_lower", NEG_INF),
+                         ("effective_upper", POS_INF)):
+        value = getattr(cert, field)
+        for changed in (value + (extra,), value[:-1]):
+            assert check_certificate(inst, replace(cert, **{field: changed})) \
+                == [wrong], (field, changed)
+
+
+def _reference_classes(rents, lower, upper):
+    """_classes as Fraction comparisons, infinite bounds included."""
+    below = {j for j, r in enumerate(rents) if r < lower[j]}
+    above = {j for j, r in enumerate(rents) if r > upper[j]}
+    at_lower = {j for j, r in enumerate(rents) if r == lower[j]}
+    at_upper = {j for j, r in enumerate(rents) if r == upper[j]}
+    return below, above, at_lower, at_upper
+
+
+# Rents and bounds drawn from one small pool, so that ties and pinned rooms
+# (l == r == u) are frequent, or with denominators up to 10^9; negative
+# values and infinite bounds throughout.
+_exact = st.one_of(
+    st.sampled_from([Fraction(k, d) for d in (1, 2, 3) for k in range(-3, 4)]),
+    st.fractions(min_value=-40, max_value=40, max_denominator=10**9))
+
+
+@st.composite
+def class_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    rents = draw(st.lists(_exact, min_size=n, max_size=n))
+    lower, upper = [], []
+    for r in rents:
+        pinned = draw(st.booleans())
+        lower.append(r if pinned else draw(st.one_of(st.just(NEG_INF),
+                                                     _exact)))
+        upper.append(r if pinned else draw(st.one_of(st.just(POS_INF),
+                                                     _exact)))
+    return tuple(rents), tuple(lower), tuple(upper)
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_cases())
+def test_integer_classes_match_fraction_reference(case):
+    rents, lower, upper = case
+    assert _classes(RentState.of(rents), lower, upper) \
+        == _reference_classes(rents, lower, upper)

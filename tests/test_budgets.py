@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import FIX_TIE_VALS, make_fix_a, make_fix_ex, make_fix_tie
 import rentdiv.budgets
 import rentdiv.matching
+import rentdiv.model
 from rentdiv import (
     build_envy_graph,
     check_certificate,
@@ -130,6 +131,30 @@ def test_one_hungarian_per_solve(monkeypatch, budgets):
         calls.clear()
         assert combined_solve(inst, objective).status == SOLVED
         assert calls == [3]
+
+
+@pytest.mark.parametrize("vals, budgets, components", [
+    ([[5, 4, 0], [4, 5, 0], [0, 1, 10]], None, []),
+    ([[5, 4, 0], [4, 5, 0], [0, 1, 10]], [[50] * 3] * 3, []),
+    # a multi-room component's economy is an Instance of its own, scaled
+    # once however often its budget graph is rebuilt
+    ([[5, 5, 0], [5, 5, 0], [0, 1, 10]], [[50] * 3] * 3, [((5, 5), (5, 5))]),
+])
+def test_one_scaling_per_solve(monkeypatch, vals, budgets, components):
+    # the seed, both engines and every envy check share one integer matrix
+    calls = []
+    scale = rentdiv.model._scaled_int_matrix
+
+    def counting_scale(valuations):
+        calls.append(valuations)
+        return scale(valuations)
+
+    monkeypatch.setattr(rentdiv.model, "_scaled_int_matrix", counting_scale)
+    for objective in OBJECTIVES:
+        inst = make_instance(vals, 6, budgets=budgets)
+        calls.clear()
+        assert combined_solve(inst, objective).status == SOLVED
+        assert calls == [inst.valuations, *components], objective
 
 
 def test_cap_check_precedes_the_repair():

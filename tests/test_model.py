@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tomllib
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -84,8 +85,30 @@ def test_validate_rejects_crossed_bounds():
 
 
 def test_validate_rejects_negative_valuation():
-    with pytest.raises(ValueError):
-        make_instance([[1, -1], [1, 1]], 2)
+    for negative in (-1, "-1/3"):
+        with pytest.raises(ValueError):
+            make_instance([[1, negative], [1, 1]], 2)
+
+
+def test_scaled_valuations_are_cached_tuples_outside_equality():
+    inst = make_instance([[1, "1/2"], ["2/3", 0]], 1)
+    twin = make_instance([[1, "1/2"], ["2/3", 0]], 1)
+    weights, dv = inst.scaled_valuations
+    assert (weights, dv) == (((6, 3), (4, 0)), 6)
+    assert type(weights) is tuple
+    assert all(type(row) is tuple for row in weights)
+    assert inst.scaled_valuations is inst.scaled_valuations
+    # twin is not scaled yet: the cache takes no part in ==, hash or repr
+    assert twin == inst and hash(twin) == hash(inst)
+    assert repr(twin) == repr(inst)
+    assert "scaled" not in repr(inst)
+    doubled = replace(inst, valuations=((Fraction(2), Fraction(1, 2)),
+                                        (Fraction(2, 3), Fraction(0))))
+    assert doubled.scaled_valuations == (((12, 3), (4, 0)), 6)
+    assert inst.scaled_valuations == (((6, 3), (4, 0)), 6)
+    # entries already over the common denominator keep their numerators
+    big = make_instance([[10**30, 1], [2, 3]], 0)
+    assert big.scaled_valuations[0][0][0] is big.valuations[0][0].numerator
 
 
 def test_utilities_fix_a():
