@@ -13,11 +13,15 @@ its bounds), or a dead end where every room is forced to move in the same
 direction, which the fixed total rent forbids.
 
 maximin_rents / leximin_rents / minspread_rents then optimize inside the
-feasible region, starting from any in-bounds EF point. Every motion, repair
-included, is one EventEngine.step; only the set selection, guards and merge
-tracking differ. Maximin and leximin share one min-class lift, which raises
-the lowest utility among unfrozen rooms until it is stuck: maximin lifts
-once, leximin freezes the rooms a lower-bound chain pins and lifts again.
+feasible region, starting from any in-bounds EF point. Maximin and
+minspread are closed forms on the lattice of EF rents (_Lattice): for a
+fixed assignment EF and the bounds are difference constraints, whose least
+and greatest solutions are shortest paths, so each stage is a few dense
+Dijkstra runs and sorts, and its point does not depend on the start.
+Leximin and the repair are still event-driven: every motion is one
+EventEngine.step, and leximin raises the lowest utility among unfrozen
+rooms until it is stuck, freezes the rooms a lower-bound chain pins and
+lifts again.
 
 check_certificate re-derives an infeasibility certificate of any kind from
 the instance alone; `rentdiv verify` runs it on infeasible results.
@@ -27,11 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .dynamics import EventEngine, RentState, TraceLog
 from .envy import _closure, build_envy_graph, co_reachable, reachable
-from .matching import assignment_welfare, max_welfare_assignment
+from .matching import _max_welfare, _welfare
 from .model import (
     BOUND_SUM_VIOLATION,
     BUDGET_CAP_VIOLATION,
@@ -40,7 +45,15 @@ from .model import (
     Assignment,
     InfeasibilityCertificate,
     Instance,
+    ef_slacks,
 )
+
+# The one trace event of a closed-form objective stage has kinds
+# (OPTIMUM, "min_utility" | "max_utility", term, level): the utility level
+# reached and a term that binds it, a chain of EF constraints from a lower
+# bound ("floor_chain") or to an upper bound or utility cap ("cap_chain"),
+# or the "total".
+OPTIMUM = "optimum"
 
 
 @dataclass(frozen=True)
@@ -250,9 +263,9 @@ def check_certificate(inst: Instance, cert: InfeasibilityCertificate) -> list:
         return ["certificate names no assignment"]
     if sorted(cert.assignment.room_of_agent) != list(range(n)):
         return ["certificate assignment is not a permutation of the rooms"]
-    vals = inst.valuations
-    if assignment_welfare(vals, cert.assignment) \
-            != assignment_welfare(vals, max_welfare_assignment(vals)):
+    weights = inst.scaled_valuations[0]
+    if _welfare(weights, cert.assignment.room_of_agent) \
+            != _welfare(weights, _max_welfare(weights)[1]):
         return ["certificate assignment does not maximize welfare"]
     occupant = cert.assignment.agent_of_room()
     ceiling = [min(inst.upper_bounds[j], inst.budgets[occupant[j]][j])
@@ -317,20 +330,10 @@ def _occupant_utilities(engine: EventEngine, state: RentState):
     return [v * d - x * dv for v, x in zip(engine.occ_val, state.num)]
 
 
-def _objective_start(inst, assignment, rents, lower, upper):
-    """The engine for the assignment, the integer state of an in-bounds EF
-    start, and the effective bounds."""
-    lower, upper = _effective(inst, lower, upper)
-    engine, state = _start_state(inst, assignment, tuple(rents))
-    below, above, _, _ = _classes(state, lower, upper)
-    assert not below and not above, \
-        "objective stage needs an in-bounds starting point"
-    return engine, state, lower, upper
-
-
 def _lift_min_class(engine: EventEngine, state, lower, upper, frozen, cap,
-                    phase, trace):
-    """Raise the lowest utility among unfrozen rooms until it is stuck.
+                    trace):
+    """Leximin's lift: raise the lowest utility among unfrozen rooms until
+    it is stuck.
 
     The minimum class pays less together with everything that weakly envies
     it, balanced by the rooms neither dragged along nor capped. The lift
@@ -361,20 +364,166 @@ def _lift_min_class(engine: EventEngine, state, lower, upper, frozen, cap,
         event, state = engine.step(state, s_inc, pulled_down, "dec", lower,
                                    upper, min_class)
         moves += 1
-        assert moves <= cap, f"{phase} does not settle"
+        assert moves <= cap, "leximin does not settle"
         if trace is not None:
-            trace.record(phase, event.time, event.kinds,
+            trace.record("leximin", event.time, event.kinds,
                          {"min_class": len(min_class), "inc": len(s_inc),
                           "frozen": len(frozen)},
                          rents=state.rents, assignment=engine.assignment,
                          lower=lower, upper=upper)
-            trace.bump(f"{phase}_events")
+            trace.bump("leximin_events")
 
 
-def _maximin(engine, state, lower, upper, trace):
-    """One min-class lift from the state, with maximin's event cap."""
-    return _lift_min_class(engine, state, lower, upper, frozenset(),
-                           2 * engine.n + 8, "maximin", trace)[0]
+def _dijkstra(adj, start):
+    """Least labels dist_y = min_x (start_x + a path's length x -> y) over
+    the nonnegative integer weights adj[x][y]; start_x None leaves x
+    unreached until a path reaches it. Dense, O(n^2), no heap: a settled
+    label never drops, so each round relaxes the whole row."""
+    dist = list(start)
+    todo = list(range(len(dist)))
+    while True:
+        reached = [x for x in todo if dist[x] is not None]
+        if not reached:
+            return dist
+        x = min(reached, key=dist.__getitem__)
+        todo.remove(x)
+        base = dist[x]
+        dist = [base + w if d is None or base + w < d else d
+                for d, w in zip(dist, adj[x])]
+
+
+def _least_shift(low, high, total):
+    """The least s with sum_a max(low_a, high_a - s) <= total, as a Fraction
+    (low_a None: no floor). The sum falls as s grows, strictly while some
+    room sits on high_a - s, so one ascending sweep of the breakpoints
+    high_a - low_a finds it. Needs sum(low) <= total."""
+    free, k = sum(high), len(high)
+    for e, lo, hi in sorted((h - l, l, h) for l, h in zip(low, high)
+                            if l is not None):
+        if free - total <= e * k:
+            break
+        free += lo - hi
+        k -= 1
+    return Fraction(free - total, k)
+
+
+def _shifted(low, high, s):
+    """max(low_a, high_a - s) per room, over s's denominator times the
+    vectors' denominator (low_a None: high_a - s)."""
+    sn, sd = s.numerator, s.denominator
+    return [h * sd - sn if l is None else max(l * sd, h * sd - sn)
+            for l, h in zip(low, high)]
+
+
+def _times(vec, m):
+    return [None if x is None else x * m for x in vec]
+
+
+class _Lattice:
+    """The EF rents of one assignment inside per-room bounds, as integers
+    over one denominator K: the lcm of dv, the start rents, the finite
+    bounds and the total.
+
+    EF is the difference constraints r_a - r_b <= w(a, b), w(a, b) what the
+    occupant of a values a over b. With single-rent bounds they have a least
+    and a greatest solution, read off shortest paths (CLRS 24.4), and the
+    componentwise max or min of two solutions is one (the EF price lattice,
+    Shapley & Shubik 1971). The in-bounds EF start p serves as potentials:
+    the reduced weights w(a, b) - p_a + p_b are its EF slacks, nonnegative,
+    so each least or greatest solution takes one dense Dijkstra.
+
+    floor is the least solution under the lower bounds (L), ceiling the
+    greatest under the upper bounds (A), and cap the greatest under
+    r_b <= value_b, value_b the occupant's value of room b (B); None
+    stands for an infinite bound."""
+
+    def __init__(self, inst: Instance, assignment: Assignment, rents,
+                 lower, upper):
+        self.lower, self.upper = lower, upper = _effective(inst, lower,
+                                                           upper)
+        assert len(rents) == inst.n
+        slack, den = ef_slacks(inst, Allocation(assignment, tuple(rents)))
+        assert min(map(min, slack)) >= 0, "starting rents are not envy-free"
+        total = inst.total_rent
+        k = lcm(den, total.denominator,
+                *[b.denominator for b in lower + upper
+                  if not isinstance(b, float)])
+        self.den = k
+        occupant = assignment.agent_of_room()
+        m = k // den
+        self.forward = [[s * m for s in slack[i]] for i in occupant]
+        self.backward = list(zip(*self.forward))
+        weights, dv = inst.scaled_valuations
+        self.value = [weights[i][a] * (k // dv)
+                      for a, i in enumerate(occupant)]
+        self.rents = [r.numerator * (k // r.denominator) for r in rents]
+        self.total = total.numerator * (k // total.denominator)
+        assert sum(self.rents) == self.total, "starting rents break the total"
+        lo, hi = self._scaled(lower), self._scaled(upper)
+        assert all((l is None or l <= x) and (h is None or x <= h)
+                   for l, x, h in zip(lo, self.rents, hi)), \
+            "objective stage needs an in-bounds starting point"
+        self.floor = self.least(lo)
+        self.ceiling = self.greatest(hi)
+        self.cap = self.greatest(self.value)
+
+    def _scaled(self, bounds):
+        k = self.den
+        return [None if isinstance(b, float)
+                else b.numerator * (k // b.denominator) for b in bounds]
+
+    def least(self, floor):
+        """The least EF rents with r_b >= floor_b: max_b(floor_b - d(b, a))."""
+        dist = _dijkstra(self.forward, [None if f is None else x - f
+                                        for x, f in zip(self.rents, floor)])
+        return [None if d is None else x - d for x, d in zip(self.rents, dist)]
+
+    def greatest(self, ceiling):
+        """The greatest EF rents with r_b <= ceiling_b:
+        min_b(ceiling_b + d(a, b))."""
+        dist = _dijkstra(self.backward, [None if c is None else c - x
+                                         for x, c in zip(self.rents, ceiling)])
+        return [None if d is None else x + d for x, d in zip(self.rents, dist)]
+
+    def maximin_level(self):
+        """(t, terms): the best minimum utility t as a Fraction over K, and
+        the terms that bind it. Utility floor t caps r_b <= value_b - t, so
+        the greatest point is G(t) = min(A, B - t), and t is feasible iff
+        L <= G(t) and sum G(t) >= R: t <= min_a(B_a - L_a) (a floor chain)
+        and t <= the largest t with sum min(A, B - t) >= R (the total)."""
+        by_total = -_least_shift(_times(self.ceiling, -1),
+                                 [-b for b in self.cap], -self.total)
+        by_chain = min((b - l for b, l in zip(self.cap, self.floor)
+                        if l is not None), default=None)
+        t = by_total if by_chain is None else min(by_total, by_chain)
+        return Fraction(t), tuple(term for term, bound in (
+            ("floor_chain", by_chain), ("total", by_total)) if bound == t)
+
+    def capped(self, t):
+        """G(t) = min(A, B - t) over K * t.denominator."""
+        tn, td = t.numerator, t.denominator
+        return [b * td - tn if a is None else min(a * td, b * td - tn)
+                for a, b in zip(self.ceiling, self.cap)]
+
+    def utility_bound(self, level, den):
+        """value_b - level per room as Fractions, level over den."""
+        return [Fraction(v * (den // self.den) - level, den)
+                for v in self.value]
+
+
+def _settle(floor, caps, total, den):
+    """max(floor, caps - s) with s the least shift that meets the total, as
+    a RentState; floor, caps and total are over den."""
+    s = _least_shift(floor, caps, total)
+    return RentState(_shifted(floor, caps, s), den * s.denominator)
+
+
+def _record(trace, phase, kinds, state, assignment, lower, upper):
+    """The one trace event of a closed-form stage: the binding terms, the
+    final rents and the bounds in force, utility floors and caps included."""
+    trace.record(phase, None, sorted(kinds), {}, rents=state.rents,
+                 assignment=assignment, lower=tuple(lower), upper=tuple(upper))
+    trace.bump(f"{phase}_events")
 
 
 def maximin_rents(inst: Instance, assignment: Assignment, rents,
@@ -383,11 +532,20 @@ def maximin_rents(inst: Instance, assignment: Assignment, rents,
     """Raise the minimum occupant utility as far as the bounds allow.
 
     Starting rents must be EF and inside the bounds (ef_rents_with_bounds
-    finds such a point); the result stays both. One min-class lift, stopped
-    wherever it gets stuck."""
-    engine, state, lower, upper = _objective_start(inst, assignment, rents,
-                                                   lower, upper)
-    return _maximin(engine, state, lower, upper, trace).rents
+    finds such a point); the result stays both and does not depend on the
+    start. With t the best minimum utility (_Lattice.maximin_level), it is
+    max(L, G(t) - s), s >= 0 the least shift that meets the total."""
+    lat = _Lattice(inst, assignment, rents, lower, upper)
+    t, terms = lat.maximin_level()
+    td = t.denominator
+    den = lat.den * td
+    state = _settle(_times(lat.floor, td), lat.capped(t), lat.total * td, den)
+    if trace is not None:
+        _record(trace, "maximin",
+                [(OPTIMUM, "min_utility", term, t / lat.den)
+                 for term in terms], state, assignment, lat.lower,
+                map(min, lat.upper, lat.utility_bound(t.numerator, den)))
+    return state.rents
 
 
 def leximin_rents(inst: Instance, assignment: Assignment, rents,
@@ -398,8 +556,11 @@ def leximin_rents(inst: Instance, assignment: Assignment, rents,
     Once a minimum-utility class is stuck only because it sits on a chain
     from rooms at their lower bounds, those rooms are frozen (their rent
     pinned) and the lift resumes on the remaining rooms."""
-    engine, state, lower, upper = _objective_start(inst, assignment, rents,
-                                                   lower, upper)
+    lower, upper = _effective(inst, lower, upper)
+    engine, state = _start_state(inst, assignment, tuple(rents))
+    below, above, _, _ = _classes(state, lower, upper)
+    assert not below and not above, \
+        "objective stage needs an in-bounds starting point"
     n = inst.n
     eff_lo, eff_hi = list(lower), list(upper)
     frozen = frozenset()
@@ -408,7 +569,7 @@ def leximin_rents(inst: Instance, assignment: Assignment, rents,
     while len(frozen) < n:
         state, floored, moves = _lift_min_class(
             engine, state, tuple(eff_lo), tuple(eff_hi), frozen, budget,
-            "leximin", trace)
+            trace)
         budget -= moves + 1
         if not floored:
             break
@@ -430,53 +591,34 @@ def minspread_rents(inst: Instance, assignment: Assignment, rents,
                     trace: Optional[TraceLog] = None) -> tuple:
     """Minimize the gap between the highest and lowest occupant utility.
 
-    First lift the minimum to its maximin level; that level then becomes a
-    rent ceiling for every room (no occupant may be pushed back below it),
-    and the maximum-utility class pays more, dragging along everything it
-    weakly envies, until the gap closes or a ceiling chain blocks it.
-    Capping at the floor instead of pinning the minimum class keeps rooms
-    that merely tied for the minimum free to improve, which the smallest
-    gap sometimes requires."""
-    n = inst.n
-    engine, state, lower, upper = _objective_start(inst, assignment, rents,
-                                                   lower, upper)
-    state = _maximin(engine, state, lower, upper, trace)
-
-    # the maximin level m, as a Fraction for the ceilings and as the
-    # integers m_num / m_den for the per-event test
-    m = Fraction(min(_occupant_utilities(engine, state)),
-                 engine.dv * state.den)
-    m_num, m_den = m.numerator, m.denominator
-    eff_lo = tuple(lower)
-    eff_hi = tuple(min(upper[x],
-                       inst.valuations[engine.agent_of_room[x]][x] - m)
-                   for x in range(n))
-
-    events = 0
-    while True:
-        succ, pred, strong = engine.weak_strong_adjacency(state)
-        assert not strong
-        _, _, at_lower, at_upper = _classes(state, eff_lo, eff_hi)
-        util = _occupant_utilities(engine, state)
-        top = max(util)
-        if top * m_den == m_num * engine.dv * state.den:
-            break
-        max_class = {x for x in range(n) if util[x] == top}
-        pushed_up = _closure(n, succ, max_class)
-        floored = _closure(n, succ, at_lower)
-        if pushed_up | floored == frozenset(range(n)):
-            break
-        if _closure(n, pred, at_upper) & max_class:
-            break
-        s_dec = frozenset(range(n)) - (pushed_up | floored)
-        event, state = engine.step(state, pushed_up, s_dec, "inc", eff_lo,
-                                   eff_hi, frozenset(max_class))
-        events += 1
-        assert events <= 2 * n * n + 10 * n + 10, "spread phase does not settle"
-        if trace is not None:
-            trace.record("minspread", event.time, event.kinds,
-                         {"max_class": len(max_class), "dec": len(s_dec)},
-                         rents=state.rents, assignment=assignment,
-                         lower=eff_lo, upper=eff_hi)
-            trace.bump("minspread_events")
+    The lowest utility stays at its maximin level t, which caps every rent
+    at G(t) = min(A, B - t); a utility ceiling T floors r_b >= value_b - T,
+    so the least point is max(L, C - T) with C the least EF rents under
+    r_b >= value_b. The least feasible T is the larger of max_a(C_a - G_a)
+    (a chain from a floored room to a capped one) and the least T with
+    sum max(L, C - T) <= R (the total). The result is max(L, C - T) joined
+    with G(t) - s, s >= 0 the least shift that meets the total; like
+    maximin's, it does not depend on the start."""
+    lat = _Lattice(inst, assignment, rents, lower, upper)
+    t, t_terms = lat.maximin_level()
+    td = t.denominator
+    den = lat.den * td
+    floor, caps, total = _times(lat.floor, td), lat.capped(t), lat.total * td
+    reach = _times(lat.least(lat.value), td)
+    by_chain = max(c - g for c, g in zip(reach, caps))
+    by_total = _least_shift(floor, reach, total)
+    top = Fraction(max(by_chain, by_total))
+    lift = top.denominator
+    state = _settle(_shifted(floor, reach, top), _times(caps, lift),
+                    total * lift, den * lift)
+    if trace is not None:
+        kinds = [(OPTIMUM, "min_utility", term, t / lat.den)
+                 for term in t_terms]
+        kinds += [(OPTIMUM, "max_utility", term, top / den)
+                  for term, bound in (("cap_chain", by_chain),
+                                      ("total", by_total)) if bound == top]
+        _record(trace, "minspread", kinds, state, assignment,
+                map(max, lat.lower,
+                    lat.utility_bound(top.numerator, den * lift)),
+                map(min, lat.upper, lat.utility_bound(t.numerator, den)))
     return state.rents

@@ -26,7 +26,7 @@ from .bounds import (
 from .dynamics import TraceLog
 from .ef_base import initial_ef_allocation, shift_rents
 from .envy import build_budget_graph, build_envy_graph, find_cycle_through, scc_partition
-from .matching import assignment_welfare
+from .matching import _welfare
 from .model import (
     BUDGET_CAP_VIOLATION,
     INFEASIBLE,
@@ -195,10 +195,10 @@ def _budget_assignment(inst: Instance, seed: Allocation,
         _, sub_alloc = scc_max_rent(sub, trace)
         for a, x in enumerate(sub_alloc.assignment.room_of_agent):
             room_of_agent[sub.agents[a]] = sub.rooms[x]
-    mu = Assignment(tuple(room_of_agent))
-    assert assignment_welfare(inst.valuations, mu) \
-        == assignment_welfare(inst.valuations, seed.assignment)
-    return mu
+    weights = inst.scaled_valuations[0]
+    assert _welfare(weights, room_of_agent) \
+        == _welfare(weights, seed.assignment.room_of_agent)
+    return Assignment(tuple(room_of_agent))
 
 
 def _dispatch(inst, assignment, rents, lower, upper, objective, trace):

@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import check_certificate
+from .bounds import OPTIMUM, check_certificate
 from .budgets import combined_solve
 from .dynamics import BOUND_HIT, MERGE, NEW_WEAK_EDGE, TraceLog, UNBOUNDED
 from .matching import SizeError, max_welfare_assignment
@@ -178,6 +178,8 @@ def _kind_to_json(kind, agents, rooms):
         return [name, rooms[kind[1]], rooms[kind[2]]]
     if name == "freeze":
         return [name, [rooms[j] for j in kind[1]]]
+    if name == OPTIMUM:
+        return [name, kind[1], kind[2], format_rat(kind[3])]
     assert name == UNBOUNDED
     return [name]
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .dynamics import RentState
-from .matching import _max_welfare
+from .matching import _max_welfare, _welfare
 from .model import Allocation, Assignment, Instance, check_envy_free
 
 
@@ -45,8 +45,8 @@ def initial_ef_allocation(inst: Instance,
     assignment = assignment or Assignment(optimum)
     # The optimum's weight is -(sum(u) + sum(v)), the dual objective: every
     # matched pair is tight.
-    best = sum(weights[i][x] for i, x in enumerate(optimum))
-    if sum(weights[i][x] for i, x in enumerate(assignment.room_of_agent)) != best:
+    if _welfare(weights, assignment.room_of_agent) \
+            != _welfare(weights, optimum):
         raise ValueError(f"assignment {assignment.room_of_agent} does not "
                          f"maximize welfare, so no rents make it envy-free")
 

@@ -29,6 +29,12 @@ def assignment_welfare(valuations, assignment: Assignment) -> Fraction:
                Fraction(0))
 
 
+def _welfare(weights, room_of_agent) -> int:
+    """Total matched weight sum_i weights[i][room_of_agent[i]], on the
+    integer valuation matrix (model.Instance.scaled_valuations)."""
+    return sum(row[x] for row, x in zip(weights, room_of_agent))
+
+
 def _hungarian_min_cost(cost):
     """Classic O(n^3) potential-based assignment on an integer cost matrix.
 

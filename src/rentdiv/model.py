@@ -241,6 +241,21 @@ def make_instance(valuations, total_rent, lower_bounds=None, upper_bounds=None,
     return validate_instance(raw)
 
 
+def _only(row, kind) -> bool:
+    """Whether every entry of the row is exactly of type kind."""
+    return set(map(type, row)) == {kind}
+
+
+def _bound_sum(bounds):
+    """sum(bounds); Fractions only are summed as integers over one common
+    denominator, and an infinite bound makes the sum infinite."""
+    if not _only(bounds, Fraction):
+        return sum(bounds)
+    den = math.lcm(*[b.denominator for b in bounds])
+    return Fraction(sum(b.numerator * (den // b.denominator) for b in bounds),
+                    den)
+
+
 def validate_instance(raw: Instance) -> Instance:
     """Check all Instance invariants; raise Shape/BoundOrder/BoundSumError.
 
@@ -272,15 +287,17 @@ def validate_instance(raw: Instance) -> Instance:
             raise BoundOrderError(f"room {j + 1}: upper bound may not be -inf")
         if lo > hi:
             raise BoundOrderError(f"room {j + 1}: lower bound {lo} > upper bound {hi}")
-    for i in range(n):
-        for j in range(n):
-            b = raw.budgets[i][j]
+    for i, row in enumerate(raw.budgets):
+        # a row of Fractions holds no -inf, nor a row of floats none below 0
+        if _only(row, Fraction) or (_only(row, float) and min(row) >= 0):
+            continue
+        for j, b in enumerate(row):
             if not is_finite(b) and b < 0:
                 raise ShapeError(f"budget[{i}][{j}] may not be -inf")
 
     # Necessary feasibility precheck: sum l <= R_t <= sum u, infinities vacuous.
-    lo_sum = sum(raw.lower_bounds)
-    hi_sum = sum(raw.upper_bounds)
+    lo_sum = _bound_sum(raw.lower_bounds)
+    hi_sum = _bound_sum(raw.upper_bounds)
     if lo_sum > raw.total_rent:
         cert = InfeasibilityCertificate(
             kind=BOUND_SUM_VIOLATION,

@@ -1,7 +1,7 @@
 from dataclasses import replace
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_fix_a, make_fix_ex, make_fix_tie
 from rentdiv import (
@@ -22,7 +22,13 @@ from rentdiv import (
 )
 from rentdiv.bounds import _classes
 from rentdiv.dynamics import EventEngine, RentState, TraceLog
-from rentdiv.model import ENVY_PATH_VIOLATION, NEG_INF, POS_INF, SOLVED
+from rentdiv.model import (
+    ENVY_PATH_VIOLATION,
+    NEG_INF,
+    POS_INF,
+    SOLVED,
+    BoundSumError,
+)
 
 
 ID2 = Assignment((0, 1))
@@ -133,8 +139,9 @@ def test_minspread_fix_tie():
     assert rents == (3, 3)
 
 
-def test_minspread_builds_one_engine(monkeypatch):
-    # the maximin lift and the spread phase share one engine
+def test_maximin_and_minspread_build_no_engine(monkeypatch):
+    # both are closed forms on the lattice of EF rents: no rent moves by
+    # events, so neither builds an event engine
     inst = make_fix_ex()
     start = in_bounds_start(inst, ID4)
     built = []
@@ -146,7 +153,9 @@ def test_minspread_builds_one_engine(monkeypatch):
 
     monkeypatch.setattr(EventEngine, "__init__", counting_init)
     assert minspread_rents(inst, ID4, start) == (1, 0, 1, 2)
-    assert len(built) == 1
+    maximin = maximin_rents(inst, ID4, start)
+    assert min(occupant_utilities(inst, ID4, maximin)) == 0
+    assert built == []
 
 
 def test_objectives_record_phase_and_counter():
@@ -211,6 +220,79 @@ def test_objectives_match_oracle(case):
         moved = Allocation(assignment, tuple(rents))
         assert check_envy_free(inst, moved) == []
         assert check_constraints(inst, moved).all_ok
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """n <= 4, valuations 0..3, totals -2..6, every bound and budget finite
+    or infinite, budgets down to -2; None where the bound sums already
+    exclude the total."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    small = st.integers(min_value=-2, max_value=6)
+    vals = draw(st.lists(st.lists(st.integers(min_value=0, max_value=3),
+                                  min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    lower = draw(st.lists(st.one_of(st.just("-inf"), small), min_size=n,
+                          max_size=n))
+    upper = [draw(st.one_of(st.just("inf"),
+                            st.integers(min_value=0, max_value=4).map(
+                                lambda w, lo=lo: w + (0 if lo == "-inf"
+                                                      else lo))))
+             for lo in lower]
+    budgets = draw(st.lists(st.lists(st.one_of(st.just("inf"), small),
+                                     min_size=n, max_size=n),
+                            min_size=n, max_size=n))
+    try:
+        return make_instance(vals, draw(small), lower, upper, budgets)
+    except BoundSumError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_instances())
+# only the chain from room 1's lower bound binds the maximin value
+@example(make_instance([[2, 3], [3, 0]], 3, lower_bounds=[2, "-inf"],
+                       upper_bounds=[4, "inf"]))
+def test_closed_form_objectives_match_oracle(inst):
+    if inst is None:
+        return
+    for objective in ("maximin", "minspread"):
+        log = TraceLog()
+        got = combined_solve(inst, objective, log)
+        want = oracle_solve(inst, objective)
+        assert got.status == want.status, objective
+        assert got.objective_value == want.objective_value, objective
+        if got.status != SOLVED:
+            continue
+        # one event, with the final rents inside its bounds, which carry
+        # the utility caps (and minspread's floors)
+        (event,) = [ev for ev in log.events if ev["phase"] == objective]
+        assert event["rents"] == got.allocation.rents
+        assert all(lo <= r <= hi for lo, r, hi in
+                   zip(event["lower"], event["rents"], event["upper"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_instances())
+# several points are maximin-optimal here, so a rule that moves rents from
+# the start can end on different ones
+@example(make_instance([[1, 0, 2], [1, 3, 2], [2, 2, 1]], 0,
+                       lower_bounds=[0, "-inf", "-inf"]))
+def test_closed_form_points_do_not_depend_on_the_start(inst):
+    # the repaired seed, leximin's point and minspread's point are three
+    # in-bounds EF starts
+    if inst is None:
+        return
+    seed = initial_ef_allocation(inst)
+    sigma = seed.assignment
+    out = ef_rents_with_bounds(inst, sigma, seed.rents)
+    if not out.ok:
+        return
+    starts = (out.rents, leximin_rents(inst, sigma, out.rents),
+              minspread_rents(inst, sigma, out.rents))
+    for objective in (maximin_rents, minspread_rents):
+        points = {objective(inst, sigma, start) for start in starts}
+        assert len(points) == 1, (objective.__name__, points)
 
 
 def _solved_certificate(vals, total, **bounds):
